@@ -2,8 +2,8 @@
 
 Bisects the largest initial critical norm at which the Picard iteration
 still converges within the iteration budget, across a small seed corpus.
-The reported value (times a safety margin) is what SolverConfig's
-c0_estimate and the acceptance suite's C0 should track.
+The reported value (times a safety margin) is what the acceptance
+suite's C0 should track.
 
 Usage: python3 scripts/calibrate_c0.py [--n-points 32] [--seeds 4]
 """

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, GridError, InversionError, ResolutionError
 from .field import (SpectralField, random_band_limited, set_threads,
-                    shell_bump, single_mode, taylor_green_like)
+                    shell_bump, taylor_green_like)
 from .grid import GridSpec
 from .littlewood_paley import BesovIndex, besov_norm, critical_index
 from .paraproduct import (bilinear_kato_check, bony_reconstruction_defect,
@@ -52,7 +52,13 @@ def main(argv=None) -> int:
 
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("BNSLAB_THREADS", "0") or 0)
+        raw = os.environ.get("BNSLAB_THREADS", "") or "0"
+        try:
+            threads = int(raw)
+        except ValueError:
+            print(f"config error: BNSLAB_THREADS must be an integer, got {raw!r}",
+                  file=sys.stderr)
+            return 2
     set_threads(threads)
 
     try:

@@ -4,6 +4,9 @@ Coefficients follow the `fftn` layout and the convention
 u(x) = sum_k c[k] exp(i k.x), so that physical values are recovered by an
 unnormalized inverse FFT.  All fields are mean-zero and real in physical
 space (Hermitian-symmetric coefficients).
+
+This module is the package's spectral core: the FFTs, the Leray
+projection and the FFT worker count live here and nowhere else.
 """
 
 from __future__ import annotations
@@ -24,9 +27,21 @@ def set_threads(n: int) -> None:
     """Cap the FFT worker pool package-wide (n <= 0 means all cores)."""
     global _WORKERS
     _WORKERS = n if n > 0 else -1
-    from . import solver
 
-    solver._WORKERS = _WORKERS
+
+# -- the transforms -----------------------------------------------------------
+# Every FFT in the package goes through these two functions, which act on
+# the last three axes of a batched array, e.g. (nt, 3, N, N, N).
+
+def _to_physical(coeffs: np.ndarray) -> np.ndarray:
+    """Real-space samples of coefficient arrays (real part only)."""
+    return np.real(sfft.ifftn(coeffs, axes=(-3, -2, -1), norm="forward",
+                              workers=_WORKERS))
+
+
+def _to_spectral(phys: np.ndarray) -> np.ndarray:
+    """Coefficients of real-space sample arrays."""
+    return sfft.fftn(phys, axes=(-3, -2, -1), norm="forward", workers=_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -68,8 +83,7 @@ class SpectralField:
     # -- diagnostics -----------------------------------------------------
     def physical(self) -> np.ndarray:
         """Real-space samples, shape (3, N, N, N), real part only."""
-        return np.real(sfft.ifftn(self.coeffs, axes=(1, 2, 3), norm="forward",
-                                  workers=_WORKERS))
+        return _to_physical(self.coeffs)
 
     def l2(self) -> float:
         """L2 norm by Parseval (exact)."""
@@ -101,15 +115,6 @@ class SpectralField:
         if top == 0.0:
             return 0.0
         return float(np.max(dot / kmag)) / top
-
-    def max_mode(self) -> float:
-        """Largest |integer wavevector| carrying a nonzero coefficient."""
-        n = wavevectors(self.grid)
-        r = np.sqrt((n[0] ** 2 + n[1] ** 2 + n[2] ** 2).astype(float))
-        active = np.any(np.abs(self.coeffs) > 0, axis=0)
-        if not np.any(active):
-            return 0.0
-        return float(np.max(r[active]))
 
 
 def _check_same_grid(a: SpectralField, b: SpectralField):
@@ -145,8 +150,7 @@ def zero_field(grid: GridSpec) -> SpectralField:
 
 
 def from_physical(grid: GridSpec, phys: np.ndarray) -> SpectralField:
-    c = sfft.fftn(np.asarray(phys, dtype=float), axes=(1, 2, 3), norm="forward",
-                  workers=_WORKERS).astype(np.complex128)
+    c = _to_spectral(np.asarray(phys, dtype=float))
     c[:, 0, 0, 0] = 0.0
     return SpectralField(grid, c)
 
@@ -241,13 +245,25 @@ def taylor_green_like(grid: GridSpec, amplitude: float = 1.0, j: int = 1) -> Spe
 
 def leray_project(u: SpectralField) -> SpectralField:
     """Remove the gradient part: c(k) -> c(k) - k (k.c(k)) / |k|^2."""
-    k = wavevectors(u.grid).astype(float)
-    k2 = (k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    dot = np.einsum("cxyz,cxyz->xyz", k, u.coeffs)
-    c = u.coeffs - k * (dot / k2safe)
-    c[:, 0, 0, 0] = u.coeffs[:, 0, 0, 0]
+    c = u.coeffs.copy()
+    _project(u.grid, c)
     return SpectralField(u.grid, c, divergence_free=True)
+
+
+def _project(grid: GridSpec, c: np.ndarray) -> None:
+    """Leray projection in place on a (..., 3, N, N, N) coefficient array.
+
+    Works one component at a time, so no temporary is larger than one
+    component; the k = 0 coefficient is left unchanged (its k factor is 0).
+    """
+    k = wavevectors(grid).astype(float)
+    k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    dot = k[0] * c[..., 0, :, :, :]
+    dot += k[1] * c[..., 1, :, :, :]
+    dot += k[2] * c[..., 2, :, :, :]
+    dot /= np.where(k2 == 0.0, 1.0, k2)
+    for a in range(3):
+        c[..., a, :, :, :] -= k[a] * dot
 
 
 def heat_flow(u: SpectralField, tau: float) -> SpectralField:
@@ -315,23 +331,3 @@ def dyadic_shift(
 
 def dealias(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * dealias_mask(u.grid), u.divergence_free)
-
-
-def tensor_divergence(u: SpectralField, v: SpectralField) -> SpectralField:
-    """P grad.(u (x)_sigma v): symmetrized tensor product formed in physical
-    space, dealiased by the 2/3 rule, then divergence and Leray projection."""
-    _check_same_grid(u, v)
-    grid = u.grid
-    up = u.physical()
-    vp = v.physical()
-    n = grid.n_points
-    mask = dealias_mask(grid)
-    k = wavevectors(grid).astype(float) * (TWO_PI / grid.period)
-    div = np.zeros((3, n, n, n), dtype=np.complex128)
-    for a in range(3):
-        for b in range(3):
-            tab = 0.5 * (up[a] * vp[b] + vp[a] * up[b])
-            that = sfft.fftn(tab, norm="forward", workers=_WORKERS) * mask
-            div[a] += 1j * k[b] * that
-    div[:, 0, 0, 0] = 0.0
-    return leray_project(SpectralField(grid, div))

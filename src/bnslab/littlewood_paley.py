@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, lp_norm
+from .field import SpectralField
 from .grid import GridSpec, low_pass_multipliers, shell_index, shell_multipliers
 
 

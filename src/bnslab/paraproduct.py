@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, from_physical, lp_norm
-from .grid import GridSpec, TWO_PI, dealias_mask, low_pass_multipliers, shell_multipliers
-from .littlewood_paley import BesovIndex, besov_norm, block_lp_norms, lp_decompose
+from .field import SpectralField, dealias, from_physical
+from .grid import TWO_PI, wavevectors
+from .littlewood_paley import BesovIndex, besov_norm, lp_decompose
 from .solver import bilinear_B
 from .spacetime import Trajectory, kato_norm
 
@@ -80,13 +80,9 @@ def bony_decompose(f: SpectralField, g: SpectralField,
                 t_gf += piece
             else:
                 rem += piece
-    pieces = []
-    for arr in (t_fg, t_gf, rem):
-        fld = from_physical(grid, arr)
-        if apply_dealias:
-            fld = SpectralField(grid, fld.coeffs * dealias_mask(grid),
-                                divergence_free=False)
-        pieces.append(fld)
+    pieces = [from_physical(grid, arr) for arr in (t_fg, t_gf, rem)]
+    if apply_dealias:
+        pieces = [dealias(fld) for fld in pieces]
     return BonyTriple(*pieces)
 
 
@@ -94,9 +90,7 @@ def bony_reconstruction_defect(f: SpectralField, g: SpectralField) -> float:
     """Relative coefficient-space error of the telescoping identity."""
     grid = f.grid
     tri = bony_decompose(f, g, apply_dealias=True)
-    prod = from_physical(grid, f.physical() * g.physical())
-    prod = SpectralField(grid, prod.coeffs * dealias_mask(grid),
-                         divergence_free=False)
+    prod = dealias(from_physical(grid, f.physical() * g.physical()))
     diff = tri.reconstruct() - prod
     top = prod.sup_coeff()
     return diff.sup_coeff() / top if top > 0 else diff.sup_coeff()
@@ -110,7 +104,8 @@ def paraproduct_support_defect(f: SpectralField, g: SpectralField) -> float:
     fb = _extended_blocks_physical(f)
     gb_fields = lp_decompose(g)
     f_prefix = np.cumsum(np.stack(fb), axis=0)
-    nsq = _mode_magnitude(grid)
+    n = wavevectors(grid)
+    nsq = n[0] ** 2 + n[1] ** 2 + n[2] ** 2
     worst = 0.0
     top = 0.0
     for i, j in enumerate(grid.shells):
@@ -119,18 +114,10 @@ def paraproduct_support_defect(f: SpectralField, g: SpectralField) -> float:
             continue
         piece = from_physical(grid, f_prefix[i - 1] * gb_fields.blocks[i].physical())
         top = max(top, piece.sup_coeff())
-        outside = nsq > 5.0 * 2.0**j
+        outside = nsq > 25 * 4**j  # |n| > 5 * 2^j, exact in integers
         if np.any(outside):
             worst = max(worst, float(np.max(np.abs(piece.coeffs[:, outside]))))
     return worst / top if top > 0 else worst
-
-
-def _mode_magnitude(grid: GridSpec) -> np.ndarray:
-    n = grid.n_points
-    idx = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    return np.sqrt(
-        idx[:, None, None] ** 2 + idx[None, :, None] ** 2 + idx[None, None, :] ** 2
-    )
 
 
 # -- product laws --------------------------------------------------------------
@@ -170,20 +157,6 @@ def product_estimate_check(
         out["r_lhs"] = lhs_r
         out["r_constant"] = lhs_r / (nf * ng) if nf * ng > 0 else 0.0
     return out
-
-
-PRODUCT_REPORT_HEADER = "check_id,s1,t1,p,p2,lhs,rhs,ratio"
-
-
-def product_report_rows(reports: list[dict]) -> list[str]:
-    rows = []
-    for i, r in enumerate(reports):
-        rows.append(f"T{i},{r['s1']},{r['t1']},{r['p']},{r['p2']},"
-                    f"{r['t_lhs']:.6e},{r['rhs']:.6e},{r['t_constant']:.6e}")
-        if "r_lhs" in r:
-            rows.append(f"R{i},{r['s1']},{r['t1']},{r['p']},{r['p2']},"
-                        f"{r['r_lhs']:.6e},{r['rhs']:.6e},{r['r_constant']:.6e}")
-    return rows
 
 
 # -- heat flow characterization -------------------------------------------------

@@ -18,16 +18,16 @@ dilation of the domain; a periodized dilation wraps instead of spreading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GridError, ResolutionError
-from .field import SpectralField, dyadic_shift, heat_flow
+from .field import SpectralField, _to_physical, dyadic_shift
 from .grid import GridSpec, TWO_PI, wavevectors
 from .littlewood_paley import (BesovIndex, besov_norm, block_lp_norms,
                                critical_index, lp_decompose)
-from .solver import SolverConfig, picard_solve
+from .solver import SolverConfig, heat_trajectory, picard_solve
 from .spacetime import Trajectory, from_fields, script_norm
 
 
@@ -349,7 +349,12 @@ def _align_core(r: SpectralField, cand: SpectralField, m: int,
     amp = 2.0 ** (-shift * (-1.0 + 3.0 / p))
     w = dyadic_shift(cand, shift, amplitude=amp, strict=False)
     spec = np.sum(np.conj(w.coeffs) * r.coeffs, axis=0)
-    corr = np.real(np.fft.ifftn(spec))
+    # a periodic scaled candidate gives exactly tied correlation maxima,
+    # so rounding decides which one argmax returns, and the duplicate test
+    # in extract_profiles depends on that choice; the transpose transforms
+    # the last axis first, the order under which the criterion-12
+    # extraction finds its two profiles
+    corr = _to_physical(spec.T).T
     return tuple(int(i) for i in np.unravel_index(np.argmax(corr), corr.shape))
 
 
@@ -384,10 +389,7 @@ def evolve_decomposition(ps: ProfileSet, cfg: SolverConfig, n: int,
     total = None
     for j in range(min(J, ps.n_profiles())):
         sc = ps.schedules[j][n]
-        sub_cfg = SolverConfig(
-            dt=cfg.dt / sc.lam**2, n_steps=cfg.n_steps,
-            picard_tol=cfg.picard_tol, max_picard_iters=cfg.max_picard_iters,
-            c0_estimate=cfg.c0_estimate, dealias=cfg.dealias)
+        sub_cfg = replace(cfg, dt=cfg.dt / sc.lam**2)
         U_j, rep_j = picard_solve(ps.profiles[j], sub_cfg, critical_index(p, p))
         if rep_j.classification == "picard_diverged":
             return {"diverged": True, "r_norm": math.inf, "n": n,
@@ -396,7 +398,7 @@ def evolve_decomposition(ps: ProfileSet, cfg: SolverConfig, n: int,
         total = total_j if total is None else total + total_j
     if ps.remainders and n < len(ps.remainders) and ps.remainders[n] is not None:
         rem = ps.remainders[n]
-        w = from_fields(u_n.times, [heat_flow(rem, t) for t in u_n.times])
+        w = heat_trajectory(rem, u_n.times)
         total = w if total is None else total + w
     r = u_n - total
     r_norm = script_norm(r, 2.0, math.inf, q)

@@ -13,16 +13,13 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import GridError
-from .field import SpectralField, heat_flow, lp_norm
+from .field import SpectralField, _project, _to_physical, _to_spectral
 from .grid import GridSpec, TWO_PI, dealias_mask, wavenumber_sq, wavevectors
 from .littlewood_paley import BesovIndex, besov_from_blocks, critical_index
 from .spacetime import (Trajectory, block_norm_matrix, script_from_matrix,
                         script_norm)
-
-_WORKERS = -1
 
 
 @dataclass(frozen=True)
@@ -31,12 +28,16 @@ class SolverConfig:
     n_steps: int
     picard_tol: float = 1e-8
     max_picard_iters: int = 40
-    c0_estimate: float = 0.05
     dealias: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.max_picard_iters < 1:
+            raise ValueError(
+                f"max_picard_iters must be >= 1, got {self.max_picard_iters}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
 
@@ -80,11 +81,6 @@ def heat_trajectory(u0: SpectralField, times) -> Trajectory:
     return Trajectory(u0.grid, times, coeffs, u0.divergence_free)
 
 
-def _physical(coeffs: np.ndarray) -> np.ndarray:
-    return np.real(sfft.ifftn(coeffs, axes=(-3, -2, -1), norm="forward",
-                              workers=_WORKERS))
-
-
 def nonlinear_term(u: Trajectory, v: Trajectory, dealias: bool = True) -> np.ndarray:
     """g(t) = P grad.(u (x)_sigma v)(t) for all sampled times, as coefficients.
 
@@ -96,26 +92,19 @@ def nonlinear_term(u: Trajectory, v: Trajectory, dealias: bool = True) -> np.nda
     grid = u.grid
     nt = u.n_times
     n = grid.n_points
-    up = _physical(u.coeffs)
-    vp = up if v is u else _physical(v.coeffs)
+    up = _to_physical(u.coeffs)
+    vp = up if v is u else _to_physical(v.coeffs)
     mask = dealias_mask(grid) if dealias else 1.0
     k = wavevectors(grid).astype(float) * (TWO_PI / grid.period)
     g = np.zeros((nt, 3, n, n, n), dtype=np.complex128)
     for a in range(3):
         for b in range(a, 3):
             tab = 0.5 * (up[:, a] * vp[:, b] + vp[:, a] * up[:, b])
-            that = sfft.fftn(tab, axes=(-3, -2, -1), norm="forward",
-                             workers=_WORKERS) * mask
+            that = _to_spectral(tab) * mask
             g[:, a] += 1j * k[b] * that
             if b != a:
                 g[:, b] += 1j * k[a] * that
-    # Leray projection, vectorized over time
-    kk = wavevectors(grid).astype(float)
-    k2 = kk[0] ** 2 + kk[1] ** 2 + kk[2] ** 2
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    dot = np.einsum("cxyz,tcxyz->txyz", kk, g)
-    g -= kk[None] * (dot / k2safe)[:, None]
-    g[:, :, 0, 0, 0] = 0.0
+    _project(grid, g)
     return g
 
 
@@ -160,12 +149,8 @@ def bilinear_B(u: Trajectory, v: Trajectory, dealias: bool = True) -> Trajectory
 def forcing_integral(f: Trajectory) -> Trajectory:
     """H(f)(t) = int_0^t e^{(t-s)Laplacian} P f(s) ds (Leray applied per time)."""
     grid = f.grid
-    kk = wavevectors(grid).astype(float)
-    k2 = kk[0] ** 2 + kk[1] ** 2 + kk[2] ** 2
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
     g = f.coeffs.copy()
-    dot = np.einsum("cxyz,tcxyz->txyz", kk, g)
-    g -= kk[None] * (dot / k2safe)[:, None]
+    _project(grid, g)
     g[:, :, 0, 0, 0] = 0.0
     coeffs = duhamel_integral(grid, f.times, g, sign=1.0)
     return Trajectory(grid, f.times, coeffs, divergence_free=True)

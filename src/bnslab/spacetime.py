@@ -14,12 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, lp_norm, scaling_transform
+from .field import SpectralField, _to_physical, lp_norm, scaling_transform
 from .grid import GridSpec, shell_multipliers
 from .littlewood_paley import BesovIndex, besov_from_blocks, besov_norm
-import scipy.fft as sfft
-
-_WORKERS = -1
 
 
 @dataclass(frozen=True)
@@ -49,9 +46,6 @@ class Trajectory:
 
     def snapshot(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[i], self.divergence_free)
-
-    def snapshots(self):
-        return [self.snapshot(i) for i in range(self.n_times)]
 
     def __add__(self, other: "Trajectory") -> "Trajectory":
         _check_compatible(self, other)
@@ -133,9 +127,7 @@ def block_norm_matrix(traj: Trajectory, p: float) -> np.ndarray:
     out = np.empty((traj.n_times, grid.n_shells))
     for i in range(traj.n_times):
         for jj in range(grid.n_shells):
-            block = traj.coeffs[i] * deltas[jj]
-            phys = np.real(sfft.ifftn(block, axes=(1, 2, 3), norm="forward",
-                                      workers=_WORKERS))
+            phys = _to_physical(traj.coeffs[i] * deltas[jj])
             out[i, jj] = lp_norm(phys, grid, p)
     return out
 
@@ -163,10 +155,7 @@ def chemin_lerner_norm(
     """|| 2^{js} ||Delta_j u||_{L^rho([t1,t2]; L^p)} ||_{l^q}."""
     sel = _window(traj, t1, t2)
     mat = block_norm_matrix(traj, idx.p)[sel]
-    times = traj.times[sel]
-    per_block = np.array([_time_lr(mat[:, jj], times, rho)
-                          for jj in range(mat.shape[1])])
-    return besov_from_blocks(per_block, traj.grid, idx)
+    return chemin_lerner_from_matrix(mat, traj.times[sel], traj.grid, idx, rho)
 
 
 def lebesgue_besov_norm(

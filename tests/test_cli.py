@@ -90,6 +90,21 @@ def test_exit_2_on_unknown_field_kind(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("setting", ["n_steps = 0", "n_steps = -1",
+                                     "max_picard_iters = 0"])
+def test_exit_2_on_bad_step_count(tmp_path, setting):
+    body = SOLVE.replace("n_steps = 8", setting)
+    code, _ = run(tmp_path, "solve", body, "--seed", "4")
+    assert code == 2
+
+
+def test_exit_2_on_bad_thread_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BNSLAB_THREADS", "two")
+    code, _ = run(tmp_path, "generate-field", GEN, "--seed", "9")
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_exit_3_on_divergence(tmp_path):
     body = SOLVE.replace("amplitude = 0.3", "amplitude = 80.0").replace(
         "n_steps = 8", "n_steps = 8\nmax_picard_iters = 6")

@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnslab.errors import GridError, ResolutionError
-from bnslab.field import (SpectralField, dealias, dyadic_shift, from_physical,
+from bnslab.field import (SpectralField, dyadic_shift, from_physical,
                           heat_flow, leray_project, lp_norm,
                           random_band_limited, scaling_transform, shell_bump,
-                          single_mode, taylor_green_like, tensor_divergence,
-                          zero_field)
+                          single_mode, taylor_green_like, zero_field)
 from bnslab.grid import GridSpec, wavevectors
 
 
@@ -155,15 +154,6 @@ def test_dyadic_shift_l2_amplitude(m):
         return
     # pure index shift preserves coefficient mass
     assert v.l2() == pytest.approx(u.l2(), rel=1e-12)
-
-
-def test_tensor_divergence_skewsymmetric_trace(grid):
-    # div(u x u) pairs with u to the energy flux, which vanishes for
-    # divergence-free u: <u, div(u x u)> = 0
-    ud = dealias(random_band_limited(grid, j_lo=0, j_hi=2, seed=17, amplitude=1.0))
-    f = leray_project(dealias(tensor_divergence(ud, ud)))
-    inner = np.sum(np.conj(ud.coeffs) * f.coeffs).real * grid.period ** 3
-    assert abs(inner) < 1e-10 * max(ud.l2() * f.l2(), 1.0)
 
 
 def test_zero_field(grid):

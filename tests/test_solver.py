@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from bnslab.field import heat_flow, random_band_limited, single_mode
+from bnslab.field import (SpectralField, dealias, heat_flow, random_band_limited,
+                          single_mode)
 from bnslab.grid import GridSpec
 from bnslab.littlewood_paley import besov_norm, critical_index
 from bnslab.solver import (SolverConfig, bilinear_B, energy_balance_defect,
-                           heat_trajectory, monitor, picard_solve,
-                           solve_perturbed, trajectory_divergence_defect,
+                           heat_trajectory, monitor, nonlinear_term,
+                           picard_solve, solve_perturbed,
+                           trajectory_divergence_defect,
                            trajectory_reality_defect)
 from bnslab.spacetime import constant_trajectory, rescale_trajectory, script_norm
 
@@ -32,6 +34,16 @@ def test_heat_trajectory_exact(grid):
     for i, t in enumerate(times):
         ref = heat_flow(u0, t)
         assert (traj.snapshot(i) - ref).l2() < 1e-13 * max(ref.l2(), 1.0)
+
+
+def test_nonlinear_term_skewsymmetric_trace(grid):
+    # div(u x u) pairs with u to the energy flux, which vanishes for
+    # divergence-free u: <u, div(u x u)> = 0
+    ud = dealias(random_band_limited(grid, j_lo=0, j_hi=2, seed=17, amplitude=1.0))
+    traj = constant_trajectory(ud, [0.0])
+    f = SpectralField(grid, nonlinear_term(traj, traj)[0])
+    inner = np.sum(np.conj(ud.coeffs) * f.coeffs).real * grid.period ** 3
+    assert abs(inner) < 1e-10 * max(ud.l2() * f.l2(), 1.0)
 
 
 def test_bilinear_B_zero_on_zero(grid):

@@ -1,0 +1,86 @@
+"""The single spectral core: every transform goes through `bnslab.field`.
+
+Oracles: a recording wrapper around scipy.fft shows that the package
+thread setting reaches every transform path; a scan of the package
+source shows that no module other than `field` makes a transform or
+holds a worker count.
+"""
+import ast
+from pathlib import Path
+
+import numpy as np
+import scipy.fft
+
+from bnslab.field import random_band_limited, set_threads
+from bnslab.grid import GridSpec
+from bnslab.profiles import _align_core
+from bnslab.solver import heat_trajectory, nonlinear_term
+from bnslab.spacetime import block_norm_matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bnslab"
+TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn"}
+
+
+def test_set_threads_caps_every_transform(monkeypatch):
+    workers = []
+    for name in TRANSFORMS:
+        def recording(*args, _fn=getattr(scipy.fft, name), **kwargs):
+            workers.append(kwargs.get("workers"))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, recording)
+    grid = GridSpec(32)
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=5)
+    traj = heat_trajectory(u, np.array([0.0, 0.01]))
+    paths = {
+        "SpectralField.physical": u.physical,
+        "block_norm_matrix": lambda: block_norm_matrix(traj, 3.0),
+        "nonlinear_term": lambda: nonlinear_term(traj, traj),
+        "profile core alignment": lambda: _align_core(u, u, 0, 3.0),
+    }
+    set_threads(1)
+    try:
+        for name, run in paths.items():
+            workers.clear()
+            run()
+            assert workers, f"{name} made no scipy.fft transform"
+            assert set(workers) == {1}, (name, workers)
+    finally:
+        set_threads(0)
+
+
+def _core_violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    in_core = path.name == "field.py"
+    found = []
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Call) and not in_core:
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name in TRANSFORMS:
+                found.append(f"{where} calls {name}")
+            if any(kw.arg == "workers" for kw in node.keywords):
+                found.append(f"{where} passes workers=")
+        if not in_core and "_WORKERS" in (getattr(node, "id", None),
+                                          getattr(node, "attr", None)):
+            found.append(f"{where} reads _WORKERS")
+        # numpy.fft serves only for fftfreq, anywhere in the package
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"
+                and getattr(node.value.value, "id", None) in ("np", "numpy")
+                and node.attr != "fftfreq"):
+            found.append(f"{where} uses numpy.fft.{node.attr}")
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.fft"):
+            names = {a.name for a in node.names}
+            if (node.module == "numpy" and "fft" in names) or (
+                    node.module == "numpy.fft" and names != {"fftfreq"}):
+                found.append(f"{where} imports from numpy.fft")
+    return found
+
+
+def test_transforms_live_only_in_field():
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == "field.py" for p in paths)
+    found = [v for p in paths for v in _core_violations(p)]
+    assert found == []
+
