@@ -15,10 +15,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InversionError
-from .field import SpectralField, lp_norm
+from .field import SpectralField
 from .littlewood_paley import critical_index
 from .solver import SolverConfig, bilinear_B, heat_trajectory, picard_solve
-from .spacetime import Trajectory, script_norm
+from .spacetime import Trajectory, _spatial_lp, _time_norms, script_norm
 
 
 @dataclass
@@ -240,15 +240,8 @@ def simple_iteration(u0: SpectralField, v0: Trajectory, w0: Trajectory,
         w_next = bilinear_B(w, w, dealias=dealias)
         v, w = v_next, w_next
         defect = script_norm(u_ref - v - w, 1.0, math.inf, 3.0)
-        sup_lp = max(lp_norm(v.snapshot(i).physical(), v.grid, 3.0)
-                     for i in range(v.n_times))
-        w_l3 = _spacetime_l3(w)
+        sup_lp = float(np.max(_spatial_lp(v, 3.0)))
+        w_l3 = float(_time_norms(_spatial_lp(w, 3.0), w.times, 3.0)[-1])
         records.append({"j": j, "defect": defect, "v_sup_l3": sup_lp,
                         "w_l3": w_l3})
     return records
-
-
-def _spacetime_l3(traj: Trajectory) -> float:
-    vals = np.array([lp_norm(traj.snapshot(i).physical(), traj.grid, 3.0) ** 3
-                     for i in range(traj.n_times)])
-    return float(np.trapezoid(vals, traj.times) ** (1.0 / 3.0))

@@ -3,6 +3,9 @@
 A block set carries Delta_j u for the grid's resolved shells, plus the two
 trimmed tails S_{j_min} u and (Id - S_{j_max+1}) u so that reconstruction
 is exact by telescoping.
+
+`block_lp_norms` is the one block-norm engine behind every Besov,
+Chemin-Lerner, script and Kato norm.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField
+from .field import SpectralField, _to_physical, lp_norm
 from .grid import GridSpec, low_pass_multipliers, shell_index, shell_multipliers
 
 
@@ -29,11 +32,6 @@ class BesovIndex:
         if self.p < 1 or self.q < 1:
             raise ValueError(f"integrability indices must be >= 1, got p={self.p} q={self.q}")
 
-    @property
-    def critical_s(self) -> float:
-        """The scaling-critical regularity -1 + 3/p for this p."""
-        return -1.0 + 3.0 / self.p
-
 
 def critical_index(p: float, q: float) -> BesovIndex:
     return BesovIndex(-1.0 + 3.0 / p, p, q)
@@ -45,9 +43,6 @@ class LPBlockSet:
     blocks: tuple[SpectralField, ...]  # Delta_j u, j = j_min .. j_max
     low_tail: SpectralField  # S_{j_min} u
     high_tail: SpectralField  # (Id - S_{j_max+1}) u
-
-    def block(self, j: int) -> SpectralField:
-        return self.blocks[shell_index(self.grid, j)]
 
     def reconstruct(self) -> SpectralField:
         total = self.low_tail + self.high_tail
@@ -74,10 +69,16 @@ def lp_decompose(u: SpectralField) -> LPBlockSet:
     return LPBlockSet(grid, blocks, low_tail, high_tail)
 
 
-def block_lp_norms(u: SpectralField, p: float) -> np.ndarray:
-    """||Delta_j u||_{L^p} for the resolved shells, as an array."""
-    bs = lp_decompose(u)
-    return np.array([b.lp(p) for b in bs.blocks])
+def block_lp_norms(u, p: float) -> np.ndarray:
+    """||Delta_j u||_{L^p} for the resolved shells, shaped coeffs.shape[:-4]
+    + (n_shells,) for any u with a `.grid` and `.coeffs` (..., 3, N, N, N),
+    e.g. a field or a trajectory; one block is transformed at a time."""
+    deltas = shell_multipliers(u.grid)
+    out = np.empty(u.coeffs.shape[:-4] + (len(deltas),))
+    for i in np.ndindex(out.shape[:-1]):
+        for jj, delta in enumerate(deltas):
+            out[i + (jj,)] = lp_norm(_to_physical(u.coeffs[i] * delta), u.grid, p)
+    return out
 
 
 def besov_norm(u: SpectralField, idx: BesovIndex) -> float:
@@ -85,18 +86,24 @@ def besov_norm(u: SpectralField, idx: BesovIndex) -> float:
     return besov_from_blocks(block_lp_norms(u, idx.p), u.grid, idx)
 
 
-def besov_from_blocks(block_norms: np.ndarray, grid: GridSpec, idx: BesovIndex) -> float:
+def besov_from_blocks(block_norms: np.ndarray, grid: GridSpec,
+                      idx: BesovIndex) -> float | np.ndarray:
+    """Besov norm over the last axis: a float for one block-norm vector, an
+    array for a (..., n_shells) stack such as a block-norm matrix."""
     js = np.array(list(grid.shells), dtype=float)
-    if len(block_norms) != len(js):
+    block_norms = np.asarray(block_norms, dtype=float)
+    if block_norms.shape[-1:] != js.shape:
         raise GridError("block norm array does not match the grid's shells")
     # Shell j on a grid of period P sits at physical frequency 2^j (2 pi / P);
     # the (2 pi / P)^s factor makes norms comparable across rescaled grids and
     # is identically 1 on the default box.
     anchor = (2.0 * math.pi / grid.period) ** idx.s
-    weighted = anchor * (2.0 ** (js * idx.s)) * np.asarray(block_norms, dtype=float)
+    weighted = anchor * (2.0 ** (js * idx.s)) * block_norms
     if math.isinf(idx.q):
-        return float(np.max(weighted)) if len(weighted) else 0.0
-    return float(np.sum(weighted**idx.q) ** (1.0 / idx.q))
+        norms = np.max(weighted, axis=-1)
+    else:
+        norms = np.sum(weighted**idx.q, axis=-1) ** (1.0 / idx.q)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def bernstein_ratio(u: SpectralField, j: int, p: float, q: float) -> float:
@@ -107,14 +114,14 @@ def bernstein_ratio(u: SpectralField, j: int, p: float, q: float) -> float:
     """
     if q < p:
         raise ValueError("bernstein_ratio expects q >= p")
-    b = lp_decompose(u).block(j)
-    denom = b.lp(p)
+    jj = shell_index(u.grid, j)
+    denom = block_lp_norms(u, p)[jj]
     if denom == 0.0:
         return 0.0
     # shell j lives at integer frequencies ~2^(j+1); in physical wavenumbers
     # that is (2 pi / period) 2^(j+1)
     lam = (2.0 * math.pi / u.grid.period) * 2.0 ** (j + 1)
-    return b.lp(q) / (lam ** (3.0 * (1.0 / p - 1.0 / q)) * denom)
+    return float(block_lp_norms(u, q)[jj] / (lam ** (3.0 * (1.0 / p - 1.0 / q)) * denom))
 
 
 def shell_energies(u: SpectralField) -> np.ndarray:

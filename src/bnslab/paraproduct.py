@@ -199,9 +199,9 @@ def heat_block_decay_rates(
 
     grid = u.grid
     k_unit = TWO_PI / grid.period
+    blocks = lp_decompose(u).blocks
     out = []
-    for i, j in enumerate(grid.shells):
-        block = lp_decompose(u).blocks[i]
+    for block, j in zip(blocks, grid.shells):
         if block.l2() == 0.0:
             continue
         k_ref = k_unit * 2.0 ** (j + 1)

@@ -8,7 +8,8 @@ Field snapshot layout ("BNSF"):
     flags      3 x u8, one per vector component (1 = stored)
 followed by the complex coefficients of each stored component as
 little-endian f64 pairs (re, im), row-major in the fftn wavevector
-layout.  Readers reject mismatched magic or version.
+layout, and nothing after them.  Readers reject mismatched magic or
+version, a short or overlong payload, and NaN or infinite coefficients.
 
 Trajectories are directories holding one snapshot per time index plus a
 `times.csv` table; run manifests record config hash, seed, and package
@@ -59,9 +60,12 @@ def read_field(path, divergence_free: bool = False) -> SpectralField:
         raise ConfigError(f"{path}: partial-component snapshots not supported")
     grid = GridSpec(n_points=n_points, period=period)
     count = 3 * n_points**3
-    if len(raw) - _HEADER.size < count * 16:
-        raise ConfigError(f"{path}: truncated snapshot payload")
+    if len(raw) - _HEADER.size != count * 16:
+        raise ConfigError(f"{path}: snapshot payload has {len(raw) - _HEADER.size} "
+                          f"bytes, expected {count * 16}")
     coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size, count=count)
+    if not np.all(np.isfinite(coeffs)):
+        raise ConfigError(f"{path}: non-finite snapshot coefficient")
     coeffs = coeffs.reshape(3, n_points, n_points, n_points).astype(np.complex128)
     return SpectralField(grid, coeffs, divergence_free=divergence_free)
 

@@ -18,7 +18,7 @@ from .errors import GridError
 from .field import SpectralField, _project, _to_physical, _to_spectral
 from .grid import GridSpec, TWO_PI, dealias_mask, wavenumber_sq, wavevectors
 from .littlewood_paley import BesovIndex, besov_from_blocks, critical_index
-from .spacetime import (Trajectory, block_norm_matrix, script_from_matrix,
+from .spacetime import (Trajectory, _script_prefix, block_norm_matrix,
                         script_norm)
 
 
@@ -158,10 +158,6 @@ def forcing_integral(f: Trajectory) -> Trajectory:
 
 # -- Picard solver -----------------------------------------------------------
 
-def _residual_norm(diff: Trajectory, p: float) -> float:
-    return script_norm(diff, 1.0, math.inf, p)
-
-
 def picard_solve(
     u0: SpectralField, cfg: SolverConfig, idx: BesovIndex | None = None,
 ) -> tuple[Trajectory, BlowupReport]:
@@ -179,7 +175,7 @@ def picard_solve(
     scale = max(script_norm(u_lin, 1.0, math.inf, idx.p), 1e-300)
     for _ in range(cfg.max_picard_iters):
         u_next = u_lin + bilinear_B(u, u, dealias=cfg.dealias)
-        res = _residual_norm(u_next - u, idx.p) / scale
+        res = script_norm(u_next - u, 1.0, math.inf, idx.p) / scale
         residuals.append(res)
         u = u_next
         if not math.isfinite(res) or res > 1e6:
@@ -199,13 +195,9 @@ def monitor(traj: Trajectory, idx: BesovIndex, residuals=None,
     """Per-time Besov norms and running script norms with classification."""
     residuals = residuals or []
     mat = block_norm_matrix(traj, idx.p)
-    grid = traj.grid
-    besov = np.array([besov_from_blocks(mat[i], grid, idx)
-                      for i in range(traj.n_times)])
-    running = np.zeros(traj.n_times)
-    for i in range(1, traj.n_times):
-        running[i] = script_from_matrix(mat[: i + 1], traj.times[: i + 1],
-                                        grid, 1.0, math.inf, idx.p)
+    besov = besov_from_blocks(mat, traj.grid, idx)
+    running = _script_prefix(mat, traj.times, traj.grid, 1.0, math.inf, idx.p)
+    running[0] = 0.0
     if diverged:
         cls = "picard_diverged"
     elif besov[-1] >= besov[0] or (running[-1] > 0 and
@@ -248,7 +240,7 @@ def solve_perturbed(
             w_next = w_next + bilinear_B(w, w, dealias=cfg.dealias)
         if v is not None:
             w_next = w_next + 2.0 * bilinear_B(v, w, dealias=cfg.dealias)
-        res = _residual_norm(w_next - w, p) / scale
+        res = script_norm(w_next - w, 1.0, math.inf, p) / scale
         w = w_next
         if not math.isfinite(res) or res > 1e6:
             return w, False

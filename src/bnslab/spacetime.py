@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import GridError
 from .field import SpectralField, _to_physical, lp_norm, scaling_transform
-from .grid import GridSpec, shell_multipliers
-from .littlewood_paley import BesovIndex, besov_from_blocks, besov_norm
+from .grid import GridSpec
+from .littlewood_paley import BesovIndex, besov_from_blocks, block_lp_norms
 
 
 @dataclass(frozen=True)
@@ -122,28 +122,47 @@ class SpaceTimeNormSpec:
 
 def block_norm_matrix(traj: Trajectory, p: float) -> np.ndarray:
     """||Delta_j u(t_i)||_{L^p} as an (n_times, n_shells) array."""
-    grid = traj.grid
-    deltas = shell_multipliers(grid)
-    out = np.empty((traj.n_times, grid.n_shells))
-    for i in range(traj.n_times):
-        for jj in range(grid.n_shells):
-            phys = _to_physical(traj.coeffs[i] * deltas[jj])
-            out[i, jj] = lp_norm(phys, grid, p)
-    return out
+    return block_lp_norms(traj, p)
 
 
-def _window(traj: Trajectory, t1: float, t2: float) -> np.ndarray:
+def _spatial_lp(traj: Trajectory, p: float) -> np.ndarray:
+    """||u(t_i)||_{L^p} for each time level, one transform per level."""
+    return np.array([lp_norm(_to_physical(c), traj.grid, p) for c in traj.coeffs])
+
+
+def _window(traj: Trajectory, t1: float, t2: float) -> Trajectory:
+    """The samples in [t1, t2], as a view."""
     t2 = min(t2, traj.t_final)
     if t1 < traj.times[0] - 1e-15 or t2 > traj.t_final + 1e-15 or t1 >= t2:
         raise ValueError(f"window [{t1}, {t2}] outside trajectory range")
-    return (traj.times >= t1 - 1e-15) & (traj.times <= t2 + 1e-15)
+    lo = np.searchsorted(traj.times, t1 - 1e-15)
+    hi = np.searchsorted(traj.times, t2 + 1e-15, side="right")
+    if hi <= lo:
+        raise ValueError(f"window [{t1}, {t2}] holds no sampled time")
+    return Trajectory(traj.grid, traj.times[lo:hi], traj.coeffs[lo:hi])
 
 
-def _time_lr(values: np.ndarray, times: np.ndarray, rho: float) -> float:
-    """L^rho norm in time of a sampled scalar function (trapezoid / max)."""
+def _time_norms(values: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
+    """L^rho norms in time along the leading axis of values: row i is the
+    norm on [times[0], times[i]] (cumulative trapezoid, or running maximum
+    for rho = inf), so the last row is the norm on the whole window."""
     if math.isinf(rho):
-        return float(np.max(values))
-    return float(np.trapezoid(values**rho, times) ** (1.0 / rho))
+        return np.maximum.accumulate(values, axis=0)
+    powered = values**rho
+    dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    steps = np.cumsum(dt * (powered[1:] + powered[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros_like(powered[:1]), steps]) ** (1.0 / rho)
+
+
+def _script_prefix(mat: np.ndarray, times: np.ndarray, grid: GridSpec,
+                   a: float, b: float, p: float, q: float | None = None) -> np.ndarray:
+    """The script norm on every prefix window [times[0], times[i]]."""
+    q = p if q is None else q
+    sp = -1.0 + 3.0 / p
+    return np.maximum.reduce([
+        besov_from_blocks(_time_norms(mat, times, r), grid,
+                          BesovIndex(sp + (0.0 if math.isinf(r) else 2.0 / r), p, q))
+        for r in {a, b}])
 
 
 # -- the norms -------------------------------------------------------------
@@ -153,9 +172,9 @@ def chemin_lerner_norm(
     t1: float = 0.0, t2: float = math.inf,
 ) -> float:
     """|| 2^{js} ||Delta_j u||_{L^rho([t1,t2]; L^p)} ||_{l^q}."""
-    sel = _window(traj, t1, t2)
-    mat = block_norm_matrix(traj, idx.p)[sel]
-    return chemin_lerner_from_matrix(mat, traj.times[sel], traj.grid, idx, rho)
+    win = _window(traj, t1, t2)
+    mat = block_norm_matrix(win, idx.p)
+    return besov_from_blocks(_time_norms(mat, win.times, rho)[-1], traj.grid, idx)
 
 
 def lebesgue_besov_norm(
@@ -163,35 +182,9 @@ def lebesgue_besov_norm(
     t1: float = 0.0, t2: float = math.inf,
 ) -> float:
     """|| ||u(t)||_{B^s_{p,q}} ||_{L^rho([t1,t2])} (time norm outside)."""
-    sel = _window(traj, t1, t2)
-    mat = block_norm_matrix(traj, idx.p)[sel]
-    vals = np.array([besov_from_blocks(mat[i], traj.grid, idx)
-                     for i in range(mat.shape[0])])
-    return _time_lr(vals, traj.times[sel], rho)
-
-
-def chemin_lerner_from_matrix(
-    mat: np.ndarray, times: np.ndarray, grid: GridSpec, idx: BesovIndex,
-    rho: float,
-) -> float:
-    """Chemin-Lerner norm from a precomputed block-norm matrix slice."""
-    per_block = np.array([_time_lr(mat[:, jj], times, rho)
-                          for jj in range(mat.shape[1])])
-    return besov_from_blocks(per_block, grid, idx)
-
-
-def script_from_matrix(
-    mat: np.ndarray, times: np.ndarray, grid: GridSpec,
-    a: float, b: float, p: float, q: float | None = None,
-) -> float:
-    q = p if q is None else q
-    sp = -1.0 + 3.0 / p
-    vals = []
-    for r in {a, b}:
-        s = sp + (0.0 if math.isinf(r) else 2.0 / r)
-        vals.append(chemin_lerner_from_matrix(mat, times, grid,
-                                              BesovIndex(s, p, q), r))
-    return max(vals)
+    win = _window(traj, t1, t2)
+    besov = besov_from_blocks(block_norm_matrix(win, idx.p), traj.grid, idx)
+    return float(_time_norms(besov, win.times, rho)[-1])
 
 
 def script_norm(
@@ -206,9 +199,18 @@ def script_norm(
     """
     if a > b:
         raise ValueError("script norm requires a <= b")
-    sel = _window(traj, 0.0, T)
-    mat = block_norm_matrix(traj, p)[sel]
-    return script_from_matrix(mat, traj.times[sel], traj.grid, a, b, p, q)
+    win = _window(traj, 0.0, T)
+    mat = block_norm_matrix(win, p)
+    return float(_script_prefix(mat, win.times, traj.grid, a, b, p, q)[-1])
+
+
+def _kato_sup(times: np.ndarray, values: np.ndarray, q: float, order: int) -> float:
+    """sup over t > 0 of t^{-s_q/2} (order 0) or t^{1/2 - s_q/2} (order 1)
+    times the sampled values; 0 when no sample is positive."""
+    sq = -1.0 + 3.0 / q
+    power = -sq / 2.0 + (0.5 if order == 1 else 0.0)
+    pos = times > 0.0
+    return float(np.max(times[pos] ** power * values[pos], initial=0.0))
 
 
 def kato_norm(traj: Trajectory, q: float, T: float = math.inf, order: int = 0) -> float:
@@ -221,18 +223,14 @@ def kato_norm(traj: Trajectory, q: float, T: float = math.inf, order: int = 0) -
         raise ValueError("Kato norms require q > 3")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    sq = -1.0 + 3.0 / q
-    power = -sq / 2.0 + (0.5 if order == 1 else 0.0)
-    best = 0.0
-    idx1 = BesovIndex(1.0, q, math.inf)
-    for i in range(traj.n_times):
-        t = float(traj.times[i])
-        if t <= 0.0 or t > T + 1e-15:
-            continue
-        u = traj.snapshot(i)
-        val = besov_norm(u, idx1) if order == 1 else u.lp(q)
-        best = max(best, t**power * val)
-    return best
+    lo, hi = np.searchsorted(traj.times, [0.0, T + 1e-15], side="right")
+    part = Trajectory(traj.grid, traj.times[lo:hi], traj.coeffs[lo:hi])
+    if order == 1:
+        values = besov_from_blocks(block_norm_matrix(part, q), traj.grid,
+                                   BesovIndex(1.0, q, math.inf))
+    else:
+        values = _spatial_lp(part, q)
+    return _kato_sup(part.times, values, q, order)
 
 
 def evaluate(traj: Trajectory, spec: SpaceTimeNormSpec) -> float:
@@ -283,10 +281,12 @@ def embedding_chain_check(
     if not (1 <= rho1 <= q <= rho2):
         raise ValueError("embedding chain requires 1 <= rho1 <= q <= rho2")
     idx = replace(idx, q=q)
-    leb1 = lebesgue_besov_norm(traj, idx, rho1, t1, t2)
-    cl1 = chemin_lerner_norm(traj, idx, rho1, t1, t2)
-    cl2 = chemin_lerner_norm(traj, idx, rho2, t1, t2)
-    leb2 = lebesgue_besov_norm(traj, idx, rho2, t1, t2)
+    win = _window(traj, t1, t2)
+    mat = block_norm_matrix(win, idx.p)
+    besov = besov_from_blocks(mat, traj.grid, idx)
+    leb1, leb2 = (float(_time_norms(besov, win.times, r)[-1]) for r in (rho1, rho2))
+    cl1, cl2 = (besov_from_blocks(_time_norms(mat, win.times, r)[-1], traj.grid, idx)
+                for r in (rho1, rho2))
     T = min(t2, traj.t_final) - t1
     inv_gap = (1.0 / rho1 if not math.isinf(rho1) else 0.0) - (
         1.0 / rho2 if not math.isinf(rho2) else 0.0)
@@ -311,9 +311,12 @@ def kato_interpolation_constant(traj: Trajectory, p: float, T: float = math.inf)
         raise ValueError("requires p > 3")
     sp = -1.0 + 3.0 / p
     kato = kato_norm(traj, p, T, order=0)
-    kato1 = kato_norm(traj, p, T, order=1)
-    linf = lebesgue_besov_norm(traj, BesovIndex(sp, p, math.inf), math.inf,
-                               0.0, T)
+    win = _window(traj, 0.0, T)
+    mat = block_norm_matrix(win, p)
+    kato1 = _kato_sup(win.times, besov_from_blocks(
+        mat, traj.grid, BesovIndex(1.0, p, math.inf)), p, order=1)
+    linf = float(np.max(besov_from_blocks(mat, traj.grid,
+                                          BesovIndex(sp, p, math.inf))))
     th1 = p / (2.0 * p - 3.0)
     th2 = (p - 3.0) / (2.0 * p - 3.0)
     denom = linf**th1 * kato1**th2

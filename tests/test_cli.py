@@ -7,9 +7,13 @@ checked on purpose-built configs.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bnslab.cli import main
+from bnslab.field import SpectralField, random_band_limited
+from bnslab.grid import GridSpec
+from bnslab.snapshots import write_field
 
 
 def run(tmp_path, name, body, *args):
@@ -95,6 +99,17 @@ def test_exit_2_on_unknown_field_kind(tmp_path):
 def test_exit_2_on_bad_step_count(tmp_path, setting):
     body = SOLVE.replace("n_steps = 8", setting)
     code, _ = run(tmp_path, "solve", body, "--seed", "4")
+    assert code == 2
+
+
+def test_exit_2_on_non_finite_snapshot(tmp_path):
+    u = random_band_limited(GridSpec(32), j_lo=0, j_hi=2, seed=9)
+    coeffs = u.coeffs.copy()
+    coeffs[0, 1, 0, 0] = np.nan
+    path = tmp_path / "nan.bnsf"
+    write_field(path, SpectralField(u.grid, coeffs))
+    body = f"[grid]\nn_points = 32\n[field]\npath = {path}\n"
+    code, _ = run(tmp_path, "generate-field", body)
     assert code == 2
 
 

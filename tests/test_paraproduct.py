@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from bnslab import paraproduct
 from bnslab.field import dealias, from_physical, random_band_limited, shell_bump
 from bnslab.grid import GridSpec
 from bnslab.littlewood_paley import critical_index
@@ -105,6 +106,18 @@ def test_heat_block_decay_rates(grid):
     u = random_band_limited(grid, j_lo=0, j_hi=2, seed=92)
     for j, fitted, ref in heat_block_decay_rates(u):
         assert 0.5 * ref <= fitted <= 2.0 * ref
+
+
+def test_heat_block_decay_rates_decomposes_once(grid, monkeypatch):
+    calls = []
+
+    def counting(u, _decompose=paraproduct.lp_decompose):
+        calls.append(u)
+        return _decompose(u)
+
+    monkeypatch.setattr(paraproduct, "lp_decompose", counting)
+    heat_block_decay_rates(random_band_limited(grid, j_lo=0, j_hi=2, seed=92))
+    assert len(calls) == 1
 
 
 def test_bilinear_kato_constant(grid):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bnslab.errors import ConfigError
-from bnslab.field import random_band_limited
+from bnslab.field import SpectralField, random_band_limited
 from bnslab.grid import GridSpec
 from bnslab.snapshots import (config_hash, read_field, read_trajectory,
                               write_field, write_manifest, write_trajectory)
@@ -50,6 +50,26 @@ def test_rejects_truncated(grid, tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ConfigError):
+        read_field(path)
+
+
+def test_rejects_trailing_bytes(grid, tmp_path):
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=64)
+    path = tmp_path / "long.bnsf"
+    write_field(path, u)
+    path.write_bytes(path.read_bytes() + bytes(16))
+    with pytest.raises(ConfigError, match="expected"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_rejects_non_finite_coefficients(grid, tmp_path, bad):
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=65)
+    coeffs = u.coeffs.copy()
+    coeffs[1, 2, 3, 4] = bad
+    path = tmp_path / "nan.bnsf"
+    write_field(path, SpectralField(grid, coeffs))
+    with pytest.raises(ConfigError, match="non-finite"):
         read_field(path)
 
 

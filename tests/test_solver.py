@@ -151,6 +151,22 @@ def test_monitor_heat_decays(grid):
     assert rep.besov_norms[-1] < rep.besov_norms[0]
 
 
+@pytest.mark.parametrize("kind", ["heat", "picard"])
+def test_running_script_is_script_norm_on_prefix(grid, kind):
+    # the running norm in the report is the script norm on [0, t_i]
+    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=50, amplitude=0.05)
+    cfg = SolverConfig(dt=0.01, n_steps=16)
+    if kind == "heat":
+        traj = heat_trajectory(u0, cfg.times)
+    else:
+        traj, _ = picard_solve(u0, cfg)
+    rep = monitor(traj, critical_index(3.0, 3.0))
+    assert rep.running_script[0] == 0.0
+    for i in range(1, traj.n_times):
+        want = script_norm(traj, 1.0, math.inf, 3.0, T=float(traj.times[i]))
+        assert rep.running_script[i] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_solve_perturbed_reduces_to_picard(grid):
     # with no drift and no forcing, the perturbed solver is plain Picard
     u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=49, amplitude=0.05)

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from bnslab import spacetime
 from bnslab.field import random_band_limited, single_mode
 from bnslab.grid import GridSpec
 from bnslab.littlewood_paley import BesovIndex, besov_norm, critical_index
@@ -110,6 +111,23 @@ def test_kato_interpolation_constant_bounded(grid):
     traj = heat_trajectory(u0, np.linspace(0.0, 0.5, 33))
     c = kato_interpolation_constant(traj, 6.0)
     assert 0.0 < c < 10.0
+
+
+def test_chain_and_interpolation_read_one_block_matrix(grid, monkeypatch):
+    calls = []
+
+    def counting(traj, p, _matrix=spacetime.block_norm_matrix):
+        calls.append(p)
+        return _matrix(traj, p)
+
+    monkeypatch.setattr(spacetime, "block_norm_matrix", counting)
+    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=35)
+    traj = heat_trajectory(u0, np.linspace(0.0, 0.25, 5))
+    embedding_chain_check(traj, 1.0, 5.0, math.inf, critical_index(3.0, 5.0))
+    assert calls == [3.0]
+    calls.clear()
+    kato_interpolation_constant(traj, 6.0)
+    assert calls == [6.0]
 
 
 def test_rescale_trajectory_invariance(grid):

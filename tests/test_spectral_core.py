@@ -1,9 +1,11 @@
-"""The single spectral core: every transform goes through `bnslab.field`.
+"""The single spectral core: every transform goes through `bnslab.field`,
+and every block norm through `littlewood_paley.block_lp_norms`.
 
 Oracles: a recording wrapper around scipy.fft shows that the package
 thread setting reaches every transform path; a scan of the package
 source shows that no module other than `field` makes a transform or
-holds a worker count.
+holds a worker count, and that no module other than `grid` and
+`littlewood_paley` touches the shell multipliers.
 """
 import ast
 from pathlib import Path
@@ -84,3 +86,17 @@ def test_transforms_live_only_in_field():
     found = [v for p in paths for v in _core_violations(p)]
     assert found == []
 
+
+
+def test_shell_multipliers_live_only_in_grid_and_littlewood_paley():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("grid.py", "littlewood_paley.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {a.name for a in node.names}
+            if "shell_multipliers" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
