@@ -3,13 +3,13 @@ Navier-Stokes equations on the periodic box."""
 
 __version__ = "0.1.0"
 
-from .field import (SpectralField, heat_flow, leray_project,
+from .field import (SpectralField, Trajectory, heat_flow, leray_project,
                     random_band_limited, scaling_transform)
 from .grid import GridSpec
 from .littlewood_paley import BesovIndex, besov_norm, critical_index, lp_decompose
 from .profiles import ProfileSet, ScaleCore, extract_profiles, synthesize
 from .solver import SolverConfig, bilinear_B, heat_trajectory, picard_solve
-from .spacetime import Trajectory, chemin_lerner_norm, kato_norm, script_norm
+from .spacetime import chemin_lerner_norm, kato_norm, script_norm
 
 __all__ = [
     "BesovIndex", "GridSpec", "ProfileSet", "ScaleCore", "SolverConfig",

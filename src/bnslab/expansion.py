@@ -10,15 +10,15 @@ solver's fixed-point defect, not quadrature error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .errors import InversionError
-from .field import SpectralField
+from .field import SpectralField, Trajectory
 from .littlewood_paley import critical_index
 from .solver import SolverConfig, bilinear_B, heat_trajectory, picard_solve
-from .spacetime import Trajectory, _spatial_lp, _time_norms, script_norm
+from .spacetime import _spatial_lp, _time_norms, script_norm
 
 
 @dataclass
@@ -114,7 +114,7 @@ def invert_K(handle: OperatorHandle, z: Trajectory, tol: float = 1e-10,
     nt = z.n_times
     n_slabs = max(1, handle.n_slabs)
     while n_slabs <= 64:
-        w = Trajectory(z.grid, z.times, z.coeffs.copy(), z.divergence_free)
+        w = replace(z, coeffs=z.coeffs.copy())
         bounds = np.linspace(0, nt, n_slabs + 1).astype(int)
         ok = True
         for s in range(n_slabs):

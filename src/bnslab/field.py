@@ -5,7 +5,12 @@ u(x) = sum_k c[k] exp(i k.x), so that physical values are recovered by an
 unnormalized inverse FFT.  All fields are mean-zero and real in physical
 space (Hermitian-symmetric coefficients).
 
-This module is the package's spectral core: the FFTs, the Leray
+This module is the package's spectral core and owns the coefficient
+representation: a `SpectralField` holds one (3, N, N, N) array and a
+`Trajectory` holds a (nt, 3, N, N, N) array sampled at `times`; time is
+just a leading axis.  Both share one arithmetic, one compatibility check
+and the defect checks, and every coefficient operator here acts on any
+leading axes and returns the type of its input.  The FFTs, the Leray
 projection and the FFT worker count live here and nowhere else.
 """
 
@@ -44,8 +49,74 @@ def _to_spectral(phys: np.ndarray) -> np.ndarray:
     return sfft.fftn(phys, axes=(-3, -2, -1), norm="forward", workers=_WORKERS)
 
 
+class _Field:
+    """What a field and a trajectory share: coefficients shaped
+    (..., 3, N, N, N) on one grid, the arithmetic and the defect checks.
+    Per-level quantities reduce over the leading axes by their maximum."""
+
+    def _check_compatible(self, other) -> None:
+        if type(other) is not type(self):
+            raise GridError(f"cannot combine a {type(self).__name__} "
+                            f"with a {type(other).__name__}")
+        if other.grid != self.grid:
+            raise GridError("fields live on different grids")
+
+    # -- arithmetic ------------------------------------------------------
+    def __add__(self, other):
+        self._check_compatible(other)
+        return replace(self, coeffs=self.coeffs + other.coeffs,
+                       divergence_free=self.divergence_free and other.divergence_free)
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return replace(self, coeffs=self.coeffs - other.coeffs,
+                       divergence_free=self.divergence_free and other.divergence_free)
+
+    def __mul__(self, alpha: float):
+        return replace(self, coeffs=self.coeffs * alpha)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * (-1.0)
+
+    # -- diagnostics -----------------------------------------------------
+    def physical(self) -> np.ndarray:
+        """Real-space samples, shape (..., 3, N, N, N), real part only."""
+        return _to_physical(self.coeffs)
+
+    def sup_coeff(self) -> float:
+        return float(np.max(np.abs(self.coeffs)))
+
+    def _levels(self):
+        """The (3, N, N, N) coefficient arrays, one per leading index."""
+        return (self.coeffs[i] for i in np.ndindex(self.coeffs.shape[:-4]))
+
+    def hermitian_defect(self) -> float:
+        """Max |c(-k) - conj(c(k))| relative to the largest coefficient."""
+        worst = 0.0
+        for c in self._levels():
+            top = float(np.max(np.abs(c)))
+            if top > 0.0:
+                worst = max(worst, float(np.max(np.abs(np.conj(_reverse(c)) - c))) / top)
+        return worst
+
+    def divergence_defect(self) -> float:
+        """Max over modes of |k.c(k)| / (|k| max|c|), a scale-free defect."""
+        k = wavevectors(self.grid).astype(float) * (TWO_PI / self.grid.period)
+        kmag = np.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
+        kmag[0, 0, 0] = 1.0
+        worst = 0.0
+        for c in self._levels():
+            dot = np.abs(np.einsum("cxyz,cxyz->xyz", k, c))
+            top = float(np.max(np.sqrt(np.sum(np.abs(c) ** 2, axis=0))))
+            if top > 0.0:
+                worst = max(worst, float(np.max(dot / kmag)) / top)
+        return worst
+
+
 @dataclass(frozen=True)
-class SpectralField:
+class SpectralField(_Field):
     grid: GridSpec
     coeffs: np.ndarray  # (3, N, N, N) complex128
     divergence_free: bool = False
@@ -55,36 +126,6 @@ class SpectralField:
         if self.coeffs.shape != (3, n, n, n):
             raise GridError(f"coefficient array shape {self.coeffs.shape} mismatches grid")
 
-    # -- arithmetic ------------------------------------------------------
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(
-            self.grid,
-            self.coeffs + other.coeffs,
-            self.divergence_free and other.divergence_free,
-        )
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(
-            self.grid,
-            self.coeffs - other.coeffs,
-            self.divergence_free and other.divergence_free,
-        )
-
-    def __mul__(self, alpha: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * alpha, self.divergence_free)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return self * (-1.0)
-
-    # -- diagnostics -----------------------------------------------------
-    def physical(self) -> np.ndarray:
-        """Real-space samples, shape (3, N, N, N), real part only."""
-        return _to_physical(self.coeffs)
-
     def l2(self) -> float:
         """L2 norm by Parseval (exact)."""
         vol = self.grid.period**3
@@ -93,38 +134,44 @@ class SpectralField:
     def lp(self, p: float) -> float:
         return lp_norm(self.physical(), self.grid, p)
 
-    def sup_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
 
-    def hermitian_defect(self) -> float:
-        """Max |c(-k) - conj(c(k))| relative to the largest coefficient."""
-        rev = _reverse(self.coeffs)
-        top = self.sup_coeff()
-        if top == 0.0:
-            return 0.0
-        return float(np.max(np.abs(np.conj(rev) - self.coeffs))) / top
+@dataclass(frozen=True)
+class Trajectory(_Field):
+    """Time-sampled spectral field: coeffs[i] are the coefficients at times[i]."""
 
-    def divergence_defect(self) -> float:
-        """Max over modes of |k.c(k)| / (|k| max|c|), a scale-free defect."""
-        k = wavevectors(self.grid).astype(float) * (TWO_PI / self.grid.period)
-        kmag = np.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
-        kmag[0, 0, 0] = 1.0
-        dot = np.abs(np.einsum("cxyz,cxyz->xyz", k, self.coeffs))
-        mag = np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=0))
-        top = float(np.max(mag))
-        if top == 0.0:
-            return 0.0
-        return float(np.max(dot / kmag)) / top
+    grid: GridSpec
+    times: np.ndarray  # (nt,), strictly increasing, times[0] == 0 typically
+    coeffs: np.ndarray  # (nt, 3, N, N, N) complex128
+    divergence_free: bool = False
 
+    def __post_init__(self):
+        n = self.grid.n_points
+        nt = len(self.times)
+        if self.coeffs.shape != (nt, 3, n, n, n):
+            raise GridError("trajectory array shape mismatches grid/times")
+        if nt >= 2 and not np.all(np.diff(self.times) > 0):
+            raise ValueError("trajectory times must be strictly increasing")
 
-def _check_same_grid(a: SpectralField, b: SpectralField):
-    if a.grid != b.grid:
-        raise GridError("fields live on different grids")
+    @property
+    def n_times(self) -> int:
+        return len(self.times)
+
+    @property
+    def t_final(self) -> float:
+        return float(self.times[-1])
+
+    def snapshot(self, i: int) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[i], self.divergence_free)
+
+    def _check_compatible(self, other) -> None:
+        super()._check_compatible(other)
+        if self.n_times != other.n_times or not np.allclose(self.times, other.times):
+            raise ValueError("trajectories have different time grids")
 
 
 def _reverse(c: np.ndarray) -> np.ndarray:
-    """c evaluated at -k in fftn layout."""
-    return np.roll(c[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
+    """c evaluated at -k in fftn layout, over the last three axes."""
+    return np.roll(c[..., ::-1, ::-1, ::-1], 1, axis=(-3, -2, -1))
 
 
 def lp_norm(phys: np.ndarray, grid: GridSpec, p: float) -> float:
@@ -178,21 +225,9 @@ def random_band_limited(
     """
     j_lo = grid.j_min if j_lo is None else j_lo
     j_hi = grid.j_max - 1 if j_hi is None else j_hi
-    rng = np.random.default_rng(seed)
-    n = grid.n_points
-    c = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
-    nn = wavevectors(grid)
-    r = np.sqrt((nn[0] ** 2 + nn[1] ** 2 + nn[2] ** 2).astype(float))
-    band = (r >= 2.0 ** (j_lo + 1)) & (r <= 2.0 ** (j_hi + 1))
-    band &= dealias_mask(grid)
-    c *= band
-    f = hermitian_symmetrize(grid, c)
-    if solenoidal:
-        f = leray_project(f)
-    top = f.l2()
-    if top > 0:
-        f = f * (amplitude / top)
-    return replace(f, divergence_free=solenoidal)
+    r = _mode_radius(grid)
+    band = (r >= 2.0 ** (j_lo + 1)) & (r <= 2.0 ** (j_hi + 1)) & dealias_mask(grid)
+    return _random_field(grid, seed, band, amplitude, solenoidal)
 
 
 def shell_bump(grid: GridSpec, j: int, seed: int = 0, amplitude: float = 1.0) -> SpectralField:
@@ -201,19 +236,33 @@ def shell_bump(grid: GridSpec, j: int, seed: int = 0, amplitude: float = 1.0) ->
     Modes are confined to 2^(j+1) <= |n| < 2^(j+1) * sqrt(2), where only
     Delta_j is active (the neighbouring blocks vanish there).
     """
+    r = _mode_radius(grid)
+    lo = 2.0 ** (j + 1)
+    return _random_field(grid, seed, (r >= lo) & (r < lo * math.sqrt(2.0)),
+                         amplitude, solenoidal=True)
+
+
+def _mode_radius(grid: GridSpec) -> np.ndarray:
+    """|n| for the integer wavevector n of each mode."""
+    nn = wavevectors(grid)
+    return np.sqrt((nn[0] ** 2 + nn[1] ** 2 + nn[2] ** 2).astype(float))
+
+
+def _random_field(grid: GridSpec, seed: int, band: np.ndarray, amplitude: float,
+                  solenoidal: bool) -> SpectralField:
+    """Gaussian coefficients on the band, made real (and divergence-free if
+    solenoidal), scaled to L2 norm `amplitude`."""
     rng = np.random.default_rng(seed)
     n = grid.n_points
     c = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
-    nn = wavevectors(grid)
-    r = np.sqrt((nn[0] ** 2 + nn[1] ** 2 + nn[2] ** 2).astype(float))
-    lo = 2.0 ** (j + 1)
-    band = (r >= lo) & (r < lo * math.sqrt(2.0))
     c *= band
-    f = leray_project(hermitian_symmetrize(grid, c))
+    f = hermitian_symmetrize(grid, c)
+    if solenoidal:
+        f = leray_project(f)
     top = f.l2()
     if top > 0:
         f = f * (amplitude / top)
-    return f
+    return replace(f, divergence_free=solenoidal)
 
 
 def single_mode(grid: GridSpec, mode: tuple[int, int, int], amp: complex = 1.0,
@@ -242,12 +291,14 @@ def taylor_green_like(grid: GridSpec, amplitude: float = 1.0, j: int = 1) -> Spe
 
 
 # -- core multiplier operators --------------------------------------------
+# Each acts on a field or a trajectory, i.e. on coefficients shaped
+# (..., 3, N, N, N), and returns the type of its input.
 
-def leray_project(u: SpectralField) -> SpectralField:
+def leray_project(u: _Field) -> _Field:
     """Remove the gradient part: c(k) -> c(k) - k (k.c(k)) / |k|^2."""
     c = u.coeffs.copy()
     _project(u.grid, c)
-    return SpectralField(u.grid, c, divergence_free=True)
+    return replace(u, coeffs=c, divergence_free=True)
 
 
 def _project(grid: GridSpec, c: np.ndarray) -> None:
@@ -266,17 +317,16 @@ def _project(grid: GridSpec, c: np.ndarray) -> None:
         c[..., a, :, :, :] -= k[a] * dot
 
 
-def heat_flow(u: SpectralField, tau: float) -> SpectralField:
+def heat_flow(u: _Field, tau: float) -> _Field:
     """e^(tau Laplacian): exact per-mode multiplier exp(-tau |k|^2)."""
     if tau < 0:
         raise ValueError(f"heat flow time must be nonnegative, got {tau}")
     if tau == 0.0:
         return u
-    mult = np.exp(-tau * wavenumber_sq(u.grid))
-    return SpectralField(u.grid, u.coeffs * mult, u.divergence_free)
+    return replace(u, coeffs=u.coeffs * np.exp(-tau * wavenumber_sq(u.grid)))
 
 
-def scaling_transform(u: SpectralField, m: int) -> SpectralField:
+def scaling_transform(u: _Field, m: int) -> _Field:
     """Navier-Stokes rescaling u -> lambda u(lambda x) with lambda = 2^m.
 
     The rescaled field is lambda-periodic in each direction, so it is
@@ -288,13 +338,12 @@ def scaling_transform(u: SpectralField, m: int) -> SpectralField:
     if m == 0:
         return u
     lam = 2.0**m
-    new_grid = replace(u.grid, period=u.grid.period / lam)
-    return SpectralField(new_grid, lam * u.coeffs, u.divergence_free)
+    return replace(u, grid=replace(u.grid, period=u.grid.period / lam),
+                   coeffs=lam * u.coeffs)
 
 
-def dyadic_shift(
-    u: SpectralField, m: int, amplitude: float = 1.0, strict: bool = True
-) -> SpectralField:
+def dyadic_shift(u: _Field, m: int, amplitude: float = 1.0,
+                 strict: bool = True) -> _Field:
     """Move the coefficient at wavevector n to 2^m n, times `amplitude`.
 
     Same-grid frequency dilation: blocks shift by m shells.  For m > 0,
@@ -317,17 +366,17 @@ def dyadic_shift(
         tgt1d = (idx1d >> (-m)) % n
     if strict and not np.all(valid):
         valid3 = valid[:, None, None] & valid[None, :, None] & valid[None, None, :]
-        if np.any(np.abs(u.coeffs[:, ~valid3]) > 0):
+        if np.any(np.abs(u.coeffs[..., ~valid3]) > 0):
             raise ResolutionError(
                 f"dyadic shift by {m} moves populated modes out of the grid"
             )
     keep = np.nonzero(valid)[0]
     out = np.zeros_like(u.coeffs)
-    out[np.ix_(range(3), tgt1d[keep], tgt1d[keep], tgt1d[keep])] = (
-        amplitude * u.coeffs[np.ix_(range(3), keep, keep, keep)]
+    out[(Ellipsis,) + np.ix_(tgt1d[keep], tgt1d[keep], tgt1d[keep])] = (
+        amplitude * u.coeffs[(Ellipsis,) + np.ix_(keep, keep, keep)]
     )
-    return SpectralField(u.grid, out, u.divergence_free)
+    return replace(u, coeffs=out)
 
 
-def dealias(u: SpectralField) -> SpectralField:
-    return SpectralField(u.grid, u.coeffs * dealias_mask(u.grid), u.divergence_free)
+def dealias(u: _Field) -> _Field:
+    return replace(u, coeffs=u.coeffs * dealias_mask(u.grid))

@@ -11,7 +11,7 @@ Chemin-Lerner, script and Kato norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,12 +60,10 @@ def lp_decompose(u: SpectralField) -> LPBlockSet:
     grid = u.grid
     deltas = shell_multipliers(grid)
     lows = low_pass_multipliers(grid)
-    blocks = tuple(
-        SpectralField(grid, u.coeffs * deltas[i], u.divergence_free)
-        for i in range(grid.n_shells)
-    )
-    low_tail = SpectralField(grid, u.coeffs * lows[0], u.divergence_free)
-    high_tail = SpectralField(grid, u.coeffs * (1.0 - lows[-1]), u.divergence_free)
+    blocks = tuple(replace(u, coeffs=u.coeffs * deltas[i])
+                   for i in range(grid.n_shells))
+    low_tail = replace(u, coeffs=u.coeffs * lows[0])
+    high_tail = replace(u, coeffs=u.coeffs * (1.0 - lows[-1]))
     return LPBlockSet(grid, blocks, low_tail, high_tail)
 
 

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, dealias, from_physical
+from .field import SpectralField, Trajectory, dealias, from_physical
 from .grid import TWO_PI, wavevectors
 from .littlewood_paley import BesovIndex, besov_norm, lp_decompose
 from .solver import bilinear_B
-from .spacetime import Trajectory, kato_norm
+from .spacetime import kato_norm
 
 
 @dataclass(frozen=True)

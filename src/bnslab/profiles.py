@@ -23,12 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridError, ResolutionError
-from .field import SpectralField, _to_physical, dyadic_shift
+from .field import SpectralField, Trajectory, _Field, _to_physical, dyadic_shift
 from .grid import GridSpec, TWO_PI, wavevectors
 from .littlewood_paley import (BesovIndex, besov_norm, block_lp_norms,
                                critical_index, lp_decompose)
 from .solver import SolverConfig, heat_trajectory, picard_solve
-from .spacetime import Trajectory, from_fields, script_norm
+from .spacetime import script_norm
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,11 @@ def orthogonality_gap(a: ScaleCore, b: ScaleCore, grid: GridSpec) -> float:
     return ratio + math.sqrt(sep) / a.lam
 
 
-def scale_op(sc: ScaleCore, u: SpectralField, p: float = 3.0,
+def scale_op(sc: ScaleCore, u: _Field, p: float = 3.0,
              normalization: str = "critical",
-             strict: bool = True) -> SpectralField:
-    """Lambda_{(lambda, x_c)} u: dyadic dilation plus translation.
+             strict: bool = True) -> _Field:
+    """Lambda_{(lambda, x_c)} u: dyadic dilation plus translation, applied
+    at every time level of a trajectory.
 
     The coefficient at eta moves to eta/lambda with a phase e^{-i eta'.x_c},
     amplitudes per the chosen normalization (see module docstring).
@@ -100,13 +101,13 @@ def scale_op(sc: ScaleCore, u: SpectralField, p: float = 3.0,
     return translate(out, sc.core)
 
 
-def translate(u: SpectralField, core: tuple[int, int, int]) -> SpectralField:
+def translate(u: _Field, core: tuple[int, int, int]) -> _Field:
     if tuple(core) == (0, 0, 0):
         return u
     x = np.asarray(core, dtype=float) * (u.grid.period / u.grid.n_points)
     k = wavevectors(u.grid).astype(float) * (TWO_PI / u.grid.period)
     phase = np.exp(-1j * (k[0] * x[0] + k[1] * x[1] + k[2] * x[2]))
-    return SpectralField(u.grid, u.coeffs * phase, u.divergence_free)
+    return replace(u, coeffs=u.coeffs * phase)
 
 
 def scale_op_trajectory(sc: ScaleCore, traj: Trajectory, p: float = 3.0,
@@ -117,9 +118,8 @@ def scale_op_trajectory(sc: ScaleCore, traj: Trajectory, p: float = 3.0,
     solution carries harmonics that the fine-grid dynamics dealiases, so
     nothing meaningful is lost.
     """
-    fields = [scale_op(sc, traj.snapshot(i), p, normalization, strict=False)
-              for i in range(traj.n_times)]
-    return from_fields(traj.times * sc.lam**2, fields)
+    return replace(scale_op(sc, traj, p, normalization, strict=False),
+                   times=traj.times * sc.lam**2)
 
 
 @dataclass
@@ -249,8 +249,7 @@ def extract_profiles(
     grid = seq[0].grid
     idx = critical_index(p, p)
     idx_q = critical_index(q, q)
-    residual = [SpectralField(grid, f.coeffs.copy(), f.divergence_free)
-                for f in seq]
+    residual = [replace(f, coeffs=f.coeffs.copy()) for f in seq]
     n_seq = len(seq)
     tail = range(n_seq // 2, n_seq)
     profiles: list[SpectralField] = []

@@ -9,7 +9,9 @@ Field snapshot layout ("BNSF"):
 followed by the complex coefficients of each stored component as
 little-endian f64 pairs (re, im), row-major in the fftn wavevector
 layout, and nothing after them.  Readers reject mismatched magic or
-version, a short or overlong payload, and NaN or infinite coefficients.
+version, a short or overlong payload, NaN or infinite coefficients, and
+coefficients of a field that is not real (Hermitian defect above 1e-10)
+or not mean-zero (k = 0 coefficient above 1e-10 of the largest).
 
 Trajectories are directories holding one snapshot per time index plus a
 `times.csv` table; run manifests record config hash, seed, and package
@@ -27,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .field import SpectralField
+from .field import SpectralField, Trajectory
 from .grid import GridSpec
-from .spacetime import Trajectory, from_fields
+from .spacetime import from_fields
 
 MAGIC = b"BNSF"
 VERSION = 1
@@ -67,7 +69,15 @@ def read_field(path, divergence_free: bool = False) -> SpectralField:
     if not np.all(np.isfinite(coeffs)):
         raise ConfigError(f"{path}: non-finite snapshot coefficient")
     coeffs = coeffs.reshape(3, n_points, n_points, n_points).astype(np.complex128)
-    return SpectralField(grid, coeffs, divergence_free=divergence_free)
+    u = SpectralField(grid, coeffs, divergence_free=divergence_free)
+    defect = u.hermitian_defect()
+    if defect > 1e-10:
+        raise ConfigError(f"{path}: coefficients are not Hermitian-symmetric "
+                          f"(defect {defect:.3g}), the field is not real")
+    if np.max(np.abs(coeffs[:, 0, 0, 0])) > 1e-10 * u.sup_coeff():
+        raise ConfigError(f"{path}: the k = 0 coefficient is nonzero, "
+                          "the field is not mean-zero")
+    return u
 
 
 def write_trajectory(directory, traj: Trajectory) -> None:

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, _project, _to_physical, _to_spectral
+from .field import (SpectralField, Trajectory, _project, _to_physical,
+                    _to_spectral)
 from .grid import GridSpec, TWO_PI, dealias_mask, wavenumber_sq, wavevectors
 from .littlewood_paley import BesovIndex, besov_from_blocks, critical_index
-from .spacetime import (Trajectory, _script_prefix, block_norm_matrix,
-                        script_norm)
+from .spacetime import _script_prefix, block_norm_matrix, script_norm
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,30 @@ def forcing_integral(f: Trajectory) -> Trajectory:
 
 # -- Picard solver -----------------------------------------------------------
 
+def _picard(base: Trajectory, step, cfg: SolverConfig,
+            p: float) -> tuple[Trajectory, list[float], bool]:
+    """Iterate u <- step(u) from u = base.
+
+    The residual of each update is its script 1:inf norm relative to the
+    norm of base.  Returns (last iterate, residuals, converged): a residual
+    below picard_tol converges, a non-finite one or one above 1e6 diverges,
+    and so does an exhausted budget.
+    """
+    scale = max(script_norm(base, 1.0, math.inf, p), 1e-300)
+    u = base
+    residuals: list[float] = []
+    for _ in range(cfg.max_picard_iters):
+        u_next = step(u)
+        res = script_norm(u_next - u, 1.0, math.inf, p) / scale
+        residuals.append(res)
+        u = u_next
+        if not math.isfinite(res) or res > 1e6:
+            return u, residuals, False
+        if res < cfg.picard_tol:
+            return u, residuals, True
+    return u, residuals, False
+
+
 def picard_solve(
     u0: SpectralField, cfg: SolverConfig, idx: BesovIndex | None = None,
 ) -> tuple[Trajectory, BlowupReport]:
@@ -167,27 +191,11 @@ def picard_solve(
     relative to the iterate's norm, or reports picard_diverged.
     """
     idx = idx if idx is not None else critical_index(3.0, 3.0)
-    times = cfg.times
-    u_lin = heat_trajectory(u0, times)
-    u = u_lin
-    residuals: list[float] = []
-    diverged = False
-    scale = max(script_norm(u_lin, 1.0, math.inf, idx.p), 1e-300)
-    for _ in range(cfg.max_picard_iters):
-        u_next = u_lin + bilinear_B(u, u, dealias=cfg.dealias)
-        res = script_norm(u_next - u, 1.0, math.inf, idx.p) / scale
-        residuals.append(res)
-        u = u_next
-        if not math.isfinite(res) or res > 1e6:
-            diverged = True
-            break
-        if res < cfg.picard_tol:
-            break
-    else:
-        diverged = True
-    report = monitor(u, idx, residuals=residuals,
-                     diverged=diverged)
-    return u, report
+    u_lin = heat_trajectory(u0, cfg.times)
+    u, residuals, converged = _picard(
+        u_lin, lambda u: u_lin + bilinear_B(u, u, dealias=cfg.dealias),
+        cfg, idx.p)
+    return u, monitor(u, idx, residuals=residuals, diverged=not converged)
 
 
 def monitor(traj: Trajectory, idx: BesovIndex, residuals=None,
@@ -232,21 +240,17 @@ def solve_perturbed(
         for extra in forcings[1:]:
             f = f + extra
         base = base + forcing_integral(f)
-    w = base
-    scale = max(script_norm(base, 1.0, math.inf, p), 1e-300)
-    for _ in range(cfg.max_picard_iters):
+
+    def step(w: Trajectory) -> Trajectory:
         w_next = base
         if include_self_term:
             w_next = w_next + bilinear_B(w, w, dealias=cfg.dealias)
         if v is not None:
             w_next = w_next + 2.0 * bilinear_B(v, w, dealias=cfg.dealias)
-        res = script_norm(w_next - w, 1.0, math.inf, p) / scale
-        w = w_next
-        if not math.isfinite(res) or res > 1e6:
-            return w, False
-        if res < cfg.picard_tol:
-            return w, True
-    return w, False
+        return w_next
+
+    w, _, converged = _picard(base, step, cfg, p)
+    return w, converged
 
 
 # -- diagnostics --------------------------------------------------------------
@@ -271,11 +275,3 @@ def energy_balance_defect(traj: Trajectory) -> float:
         if mid > 0:
             worst = max(worst, abs(lhs + mid) / mid)
     return worst
-
-
-def trajectory_divergence_defect(traj: Trajectory) -> float:
-    return max(traj.snapshot(i).divergence_defect() for i in range(traj.n_times))
-
-
-def trajectory_reality_defect(traj: Trajectory) -> float:
-    return max(traj.snapshot(i).hermitian_defect() for i in range(traj.n_times))

@@ -13,62 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridError
-from .field import SpectralField, _to_physical, lp_norm, scaling_transform
+from .field import (SpectralField, Trajectory, _to_physical, lp_norm,
+                    scaling_transform)
 from .grid import GridSpec
 from .littlewood_paley import BesovIndex, besov_from_blocks, block_lp_norms
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-sampled spectral field: coeffs[i] are the coefficients at times[i]."""
-
-    grid: GridSpec
-    times: np.ndarray  # (nt,), strictly increasing, times[0] == 0 typically
-    coeffs: np.ndarray  # (nt, 3, N, N, N) complex128
-    divergence_free: bool = False
-
-    def __post_init__(self):
-        n = self.grid.n_points
-        nt = len(self.times)
-        if self.coeffs.shape != (nt, 3, n, n, n):
-            raise GridError("trajectory array shape mismatches grid/times")
-        if nt >= 2 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("trajectory times must be strictly increasing")
-
-    @property
-    def n_times(self) -> int:
-        return len(self.times)
-
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
-
-    def snapshot(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[i], self.divergence_free)
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        _check_compatible(self, other)
-        return Trajectory(self.grid, self.times, self.coeffs + other.coeffs,
-                          self.divergence_free and other.divergence_free)
-
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        _check_compatible(self, other)
-        return Trajectory(self.grid, self.times, self.coeffs - other.coeffs,
-                          self.divergence_free and other.divergence_free)
-
-    def __mul__(self, alpha: float) -> "Trajectory":
-        return Trajectory(self.grid, self.times, self.coeffs * alpha,
-                          self.divergence_free)
-
-    __rmul__ = __mul__
-
-
-def _check_compatible(a: Trajectory, b: Trajectory):
-    if a.grid != b.grid:
-        raise GridError("trajectories live on different grids")
-    if a.n_times != b.n_times or not np.allclose(a.times, b.times):
-        raise ValueError("trajectories have different time grids")
 
 
 def from_fields(times, fields: list[SpectralField]) -> Trajectory:
@@ -92,9 +40,7 @@ def rescale_trajectory(traj: Trajectory, m: int) -> Trajectory:
     Spatial part via `scaling_transform` (period shrinks), time nodes
     divided by lambda^2 so the sampled history is the same.
     """
-    lam = 2.0**m
-    fields = [scaling_transform(traj.snapshot(i), m) for i in range(traj.n_times)]
-    return from_fields(traj.times / lam**2, fields)
+    return replace(scaling_transform(traj, m), times=traj.times / 4.0**m)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,17 @@ def test_exit_2_on_non_finite_snapshot(tmp_path):
     assert code == 2
 
 
+def test_exit_2_on_unpaired_mode_snapshot(tmp_path):
+    u = random_band_limited(GridSpec(32), j_lo=0, j_hi=2, seed=9)
+    coeffs = u.coeffs.copy()
+    coeffs[0, 1, 0, 0] += 0.1 * u.sup_coeff()
+    path = tmp_path / "complex.bnsf"
+    write_field(path, SpectralField(u.grid, coeffs))
+    body = f"[grid]\nn_points = 32\n[field]\npath = {path}\n"
+    code, _ = run(tmp_path, "generate-field", body)
+    assert code == 2
+
+
 def test_exit_2_on_bad_thread_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BNSLAB_THREADS", "two")
     code, _ = run(tmp_path, "generate-field", GEN, "--seed", "9")

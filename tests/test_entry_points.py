@@ -1,0 +1,32 @@
+"""The documented entry points run: the README "Quick start" block and
+each script's `--help`, so a renamed or moved name breaks a test rather
+than the docs."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md:quick-start", "exec"), {})
+    lines = capsys.readouterr().out.split()
+    assert lines[0] == "decaying"
+    assert float(lines[1]) > 0.0
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help(script):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

@@ -6,6 +6,7 @@ flow against the exact symbol on a single mode; the scaling operators
 against index bookkeeping on single modes.
 """
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bnslab.field import (SpectralField, dyadic_shift, from_physical,
                           random_band_limited, scaling_transform, shell_bump,
                           single_mode, taylor_green_like, zero_field)
 from bnslab.grid import GridSpec, wavevectors
+from bnslab.spacetime import constant_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +166,13 @@ def test_zero_field(grid):
 
 
 def test_arithmetic_grid_mismatch(grid):
-    other = GridSpec(64)
-    with pytest.raises(GridError):
-        zero_field(grid) + zero_field(other)
+    u, v = zero_field(grid), zero_field(GridSpec(64))
+    times = [0.0, 0.1]
+    traj = constant_trajectory(u, times)
+    pairs = [(u, v), (traj, constant_trajectory(v, times)), (u, traj), (traj, u)]
+    for a, b in pairs:
+        for op in (operator.add, operator.sub):
+            with pytest.raises(GridError):
+                op(a, b)
+    with pytest.raises(ValueError, match="time grids"):
+        traj + constant_trajectory(u, [0.0, 0.2])

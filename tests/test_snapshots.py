@@ -73,6 +73,26 @@ def test_rejects_non_finite_coefficients(grid, tmp_path, bad):
         read_field(path)
 
 
+def test_rejects_unpaired_mode(grid, tmp_path):
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=66)
+    coeffs = u.coeffs.copy()
+    coeffs[0, 1, 2, 3] += 0.1 * u.sup_coeff()  # its partner at -k stays
+    path = tmp_path / "complex.bnsf"
+    write_field(path, SpectralField(grid, coeffs))
+    with pytest.raises(ConfigError, match="Hermitian"):
+        read_field(path)
+
+
+def test_rejects_nonzero_mean(grid, tmp_path):
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=67)
+    coeffs = u.coeffs.copy()
+    coeffs[2, 0, 0, 0] = 1e-8 * u.sup_coeff()  # real, so still Hermitian
+    path = tmp_path / "mean.bnsf"
+    write_field(path, SpectralField(grid, coeffs))
+    with pytest.raises(ConfigError, match="mean-zero"):
+        read_field(path)
+
+
 def test_trajectory_roundtrip(grid, tmp_path):
     u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=63)
     traj = heat_trajectory(u0, np.linspace(0.0, 0.1, 5))

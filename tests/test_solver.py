@@ -16,9 +16,7 @@ from bnslab.grid import GridSpec
 from bnslab.littlewood_paley import besov_norm, critical_index
 from bnslab.solver import (SolverConfig, bilinear_B, energy_balance_defect,
                            heat_trajectory, monitor, nonlinear_term,
-                           picard_solve, solve_perturbed,
-                           trajectory_divergence_defect,
-                           trajectory_reality_defect)
+                           picard_solve, solve_perturbed)
 from bnslab.spacetime import constant_trajectory, rescale_trajectory, script_norm
 
 
@@ -98,8 +96,8 @@ def test_picard_diverges_large_data(grid):
 
 def test_solution_is_real_and_divergence_free(solved_small):
     traj, _, _ = solved_small
-    assert trajectory_reality_defect(traj) < 1e-10
-    assert trajectory_divergence_defect(traj) < 1e-10
+    assert traj.hermitian_defect() < 1e-10
+    assert traj.divergence_defect() < 1e-10
 
 
 def test_mild_solution_fixed_point(solved_small):

@@ -4,8 +4,9 @@ and every block norm through `littlewood_paley.block_lp_norms`.
 Oracles: a recording wrapper around scipy.fft shows that the package
 thread setting reaches every transform path; a scan of the package
 source shows that no module other than `field` makes a transform or
-holds a worker count, and that no module other than `grid` and
-`littlewood_paley` touches the shell multipliers.
+holds a worker count, that no module other than `grid` and
+`littlewood_paley` touches the shell multipliers, and that fields and
+trajectories share one arithmetic with no operator applied per snapshot.
 """
 import ast
 from pathlib import Path
@@ -86,6 +87,21 @@ def test_transforms_live_only_in_field():
     found = [v for p in paths for v in _core_violations(p)]
     assert found == []
 
+
+def test_one_field_type():
+    """Arithmetic is defined in one class, and only `snapshots` splits a
+    trajectory into snapshots: every operator acts on the whole array."""
+    adds, snapshots = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.FunctionDef) and node.name == "__add__":
+                adds.append(where)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "snapshot" and path.name != "snapshots.py"):
+                snapshots.append(where)
+    assert len(adds) == 1, adds
+    assert snapshots == []
 
 
 def test_shell_multipliers_live_only_in_grid_and_littlewood_paley():
