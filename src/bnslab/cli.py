@@ -111,7 +111,13 @@ def _grid(cfg) -> GridSpec:
 
 def _field(cfg, grid: GridSpec, seed: int, section: str = "field") -> SpectralField:
     if cfg.has_option(section, "path"):
-        return read_field(cfg.get(section, "path"), divergence_free=True)
+        path = cfg.get(section, "path")
+        u = read_field(path)
+        defect = u.divergence_defect()
+        if defect > 1e-10:
+            raise ConfigError(f"{path}: the field is not divergence-free "
+                              f"(defect {defect:.3g})")
+        return u
     kind = cfg.get(section, "kind", fallback="random_bandlimited")
     amplitude = cfg.getfloat(section, "amplitude", fallback=1.0)
     if kind == "random_bandlimited":
@@ -130,12 +136,14 @@ def _field(cfg, grid: GridSpec, seed: int, section: str = "field") -> SpectralFi
 
 
 def _solver_config(cfg) -> SolverConfig:
+    if cfg.has_option("solver", "dealias"):
+        raise ConfigError("[solver] dealias is not a setting: products are "
+                          "always dealiased")
     return SolverConfig(
         dt=cfg.getfloat("solver", "dt", fallback=0.005),
         n_steps=cfg.getint("solver", "n_steps", fallback=32),
         picard_tol=cfg.getfloat("solver", "picard_tol", fallback=1e-8),
         max_picard_iters=cfg.getint("solver", "max_picard_iters", fallback=40),
-        dealias=cfg.getboolean("solver", "dealias", fallback=True),
     )
 
 
@@ -211,7 +219,7 @@ def _cmd_expand(cfg, seed, out_dir) -> dict:
         traj, report = picard_solve(u0, scfg, critical_index(p, p))
         if report.classification == "picard_diverged":
             return {"_numerical_failure": True, "classification": "picard_diverged"}
-        result = duhamel_expand(traj, u0, n_terms, p=p, dealias=scfg.dealias)
+        result = duhamel_expand(traj, u0, n_terms, p=p)
     else:
         raise ConfigError(f"unknown expand mode {mode!r}")
     _write_report(out_dir, result.manifest_rows())
@@ -230,9 +238,9 @@ def _cmd_iterate(cfg, seed, out_dir) -> dict:
     if report.classification == "picard_diverged":
         return {"_numerical_failure": True, "classification": "picard_diverged"}
     v0 = heat_trajectory(u0, traj.times)
-    w0 = bilinear_B(traj, traj, dealias=scfg.dealias)
+    w0 = bilinear_B(traj, traj)
     j_steps = cfg.getint("iterate", "j_steps", fallback=4)
-    records = simple_iteration(u0, v0, w0, j_steps, dealias=scfg.dealias)
+    records = simple_iteration(u0, v0, w0, j_steps)
     rows = ["j,defect,v_sup_l3,w_l3"]
     rows += [f"{r['j']},{r['defect']},{r['v_sup_l3']},{r['w_l3']}" for r in records]
     _write_report(out_dir, "\n".join(rows))

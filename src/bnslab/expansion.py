@@ -43,15 +43,20 @@ class OperatorHandle:
     """Defines L[v]w = w - 2 B_sigma(v, w) and its inverse K[v]."""
 
     drift: Trajectory
-    n_slabs: int = 1  # starting time partition for inversion
+
+
+# K[v] fixed point: the relative update that counts as converged, and the
+# iterations allowed per time slab
+_INVERSION_TOL = 1e-10
+_INVERSION_ITERS = 80
 
 
 def _rel_script(diff: Trajectory, ref: float, p: float) -> float:
     return script_norm(diff, 1.0, math.inf, p) / max(ref, 1e-300)
 
 
-def duhamel_expand(u: Trajectory, u0: SpectralField, N: int, p: float = 10.0,
-                   dealias: bool = True) -> ExpansionResult:
+def duhamel_expand(u: Trajectory, u0: SpectralField, N: int,
+                   p: float = 10.0) -> ExpansionResult:
     """u = H_N + Z_N with H_N multilinear in u_L = e^{tL}u0 only.
 
     H_2 = u_L, Z_2 = B(u,u); each step substitutes u = u_L + B(u,u) into
@@ -63,24 +68,21 @@ def duhamel_expand(u: Trajectory, u0: SpectralField, N: int, p: float = 10.0,
     if p <= 3 * (N - 1):
         raise ValueError(f"need p > 3(N-1) = {3 * (N - 1)}, got p = {p}")
     u_lin = heat_trajectory(u0, u.times)
-    q = bilinear_B(u, u, dealias=dealias)  # B(u,u)
+    q = bilinear_B(u, u)  # B(u,u)
     terms = [u_lin]
     if N == 2:
         tail = q
     else:
-        b_ll = bilinear_B(u_lin, u_lin, dealias=dealias)
+        b_ll = bilinear_B(u_lin, u_lin)
         terms.append(b_ll)
         if N == 3:
-            tail = 2.0 * bilinear_B(u_lin, q, dealias=dealias) \
-                + bilinear_B(q, q, dealias=dealias)
+            tail = 2.0 * bilinear_B(u_lin, q) + bilinear_B(q, q)
         else:
-            terms.append(2.0 * bilinear_B(u_lin, b_ll, dealias=dealias))
+            terms.append(2.0 * bilinear_B(u_lin, b_ll))
             tail = (
-                4.0 * bilinear_B(u_lin, bilinear_B(u_lin, q, dealias=dealias),
-                                 dealias=dealias)
-                + 2.0 * bilinear_B(u_lin, bilinear_B(q, q, dealias=dealias),
-                                   dealias=dealias)
-                + bilinear_B(q, q, dealias=dealias)
+                4.0 * bilinear_B(u_lin, bilinear_B(u_lin, q))
+                + 2.0 * bilinear_B(u_lin, bilinear_B(q, q))
+                + bilinear_B(q, q)
             )
     total = terms[0]
     for t in terms[1:]:
@@ -96,38 +98,43 @@ def duhamel_expand(u: Trajectory, u0: SpectralField, N: int, p: float = 10.0,
 
 # -- L[v] and K[v] -----------------------------------------------------------
 
-def apply_L(handle: OperatorHandle, w: Trajectory, dealias: bool = True) -> Trajectory:
+def apply_L(handle: OperatorHandle, w: Trajectory) -> Trajectory:
     """L[v]w = w - 2 B_sigma(v, w)."""
-    return w - 2.0 * bilinear_B(handle.drift, w, dealias=dealias)
+    return w - 2.0 * bilinear_B(handle.drift, w)
 
 
-def invert_K(handle: OperatorHandle, z: Trajectory, tol: float = 1e-10,
-             max_iters: int = 80, dealias: bool = True) -> Trajectory:
+def _slab_bounds(nt: int, n_slabs: int) -> np.ndarray:
+    """Start indices of n_slabs near-equal slabs of nt time levels, then nt."""
+    return np.linspace(0, nt, n_slabs + 1).astype(int)
+
+
+def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
     """Solve L[v]w = z by the fixed point w <- z + 2 B_sigma(v, w).
 
     The fixed point runs on time slabs: B_sigma is causal, so once w is
     converged on [0, t1] the later slabs only ever read settled values.
     If the iteration fails to contract, the slab count doubles, shrinking
-    the local drift norm, up to 64 slabs.
+    the local drift norm, up to 64 slabs or until every slab holds one
+    time level, after which doubling leaves the partition unchanged.
     """
     v = handle.drift
     nt = z.n_times
-    n_slabs = max(1, handle.n_slabs)
-    while n_slabs <= 64:
+    n_slabs = 1
+    while True:
         w = replace(z, coeffs=z.coeffs.copy())
-        bounds = np.linspace(0, nt, n_slabs + 1).astype(int)
+        bounds = _slab_bounds(nt, n_slabs)
         ok = True
         for s in range(n_slabs):
             lo, hi = bounds[s], bounds[s + 1]
             if hi <= lo:
                 continue
             prev = math.inf
-            for _ in range(max_iters):
-                w_full = z + 2.0 * bilinear_B(v, w, dealias=dealias)
+            for _ in range(_INVERSION_ITERS):
+                w_full = z + 2.0 * bilinear_B(v, w)
                 delta = float(np.max(np.abs(w_full.coeffs[:hi] - w.coeffs[:hi])))
                 scale = max(float(np.max(np.abs(z.coeffs))), 1e-300)
                 w.coeffs[lo:hi] = w_full.coeffs[lo:hi]
-                if delta / scale < tol:
+                if delta / scale < _INVERSION_TOL:
                     break
                 if delta > 4.0 * prev:
                     ok = False
@@ -138,18 +145,19 @@ def invert_K(handle: OperatorHandle, z: Trajectory, tol: float = 1e-10,
             if not ok:
                 break
         if ok:
-            res = apply_L(handle, w, dealias=dealias) - z
+            res = apply_L(handle, w) - z
             rel = float(np.max(np.abs(res.coeffs))) / max(
                 float(np.max(np.abs(z.coeffs))), 1e-300)
-            if rel < 100 * tol:
+            if rel < 100 * _INVERSION_TOL:
                 return w
+        if n_slabs >= min(nt, 64):
+            break
         n_slabs *= 2
     raise InversionError(
-        "K[v] fixed point failed to contract within 64 time slabs")
+        f"K[v] fixed point failed to contract within {n_slabs} time slabs")
 
 
-def heat_drift_defect(handle: OperatorHandle, z: Trajectory,
-                      dealias: bool = True) -> float:
+def heat_drift_defect(handle: OperatorHandle, z: Trajectory) -> float:
     """Relative defect of (d/dt - Lap_v) K[v]z = (d/dt - Lap) z.
 
     Lap_v = Lap - 2 P grad.(v (x)_sigma .); time derivatives by central
@@ -159,9 +167,9 @@ def heat_drift_defect(handle: OperatorHandle, z: Trajectory,
     from .grid import wavenumber_sq
     from .solver import nonlinear_term
 
-    w = invert_K(handle, z, dealias=dealias)
+    w = invert_K(handle, z)
     k2 = wavenumber_sq(z.grid)
-    g = nonlinear_term(handle.drift, w, dealias=dealias)
+    g = nonlinear_term(handle.drift, w)
 
     def heat_op(traj: Trajectory, extra=None):
         c = traj.coeffs
@@ -180,8 +188,7 @@ def heat_drift_defect(handle: OperatorHandle, z: Trajectory,
 
 # -- the u_{L,n} / w_k expansion ----------------------------------------------
 
-def expand_solution(u0: SpectralField, k: int, cfg: SolverConfig,
-                    inversion_tol: float = 1e-10) -> ExpansionResult:
+def expand_solution(u0: SpectralField, k: int, cfg: SolverConfig) -> ExpansionResult:
     """Decompose u = sum_{n=0}^k u_{L,n} + w_k at integrability p = 3*2^k - 2.
 
     Construction: u_{L,0} = e^{tL}u0, w_0 = B(u,u); then with the
@@ -196,16 +203,15 @@ def expand_solution(u0: SpectralField, k: int, cfg: SolverConfig,
     if report.classification == "picard_diverged":
         raise InversionError("base Picard solve diverged; datum too large")
     terms = [heat_trajectory(u0, u.times)]
-    w = bilinear_B(u, u, dealias=cfg.dealias)
+    w = bilinear_B(u, u)
     drift = terms[0]
     for n in range(k):
         handle = OperatorHandle(drift)
-        b_ll = bilinear_B(terms[n], terms[n], dealias=cfg.dealias)
-        z = b_ll + bilinear_B(w, w, dealias=cfg.dealias)
-        u_next = invert_K(handle, b_ll, tol=inversion_tol, dealias=cfg.dealias)
-        kz = invert_K(handle, z, tol=inversion_tol, dealias=cfg.dealias)
-        w = invert_K(handle, bilinear_B(kz, kz, dealias=cfg.dealias),
-                     tol=inversion_tol, dealias=cfg.dealias)
+        b_ll = bilinear_B(terms[n], terms[n])
+        z = b_ll + bilinear_B(w, w)
+        u_next = invert_K(handle, b_ll)
+        kz = invert_K(handle, z)
+        w = invert_K(handle, bilinear_B(kz, kz))
         terms.append(u_next)
         drift = drift + u_next
     total = terms[0]
@@ -223,7 +229,7 @@ def expand_solution(u0: SpectralField, k: int, cfg: SolverConfig,
 # -- simple iteration ---------------------------------------------------------
 
 def simple_iteration(u0: SpectralField, v0: Trajectory, w0: Trajectory,
-                     j_steps: int, dealias: bool = True) -> list[dict]:
+                     j_steps: int) -> list[dict]:
     """Iterate v <- e^{tL}u0 + B(v,v) + 2B_sigma(v,w), w <- B(w,w).
 
     Each step preserves u = v + w up to the accumulated solver defect.
@@ -235,9 +241,8 @@ def simple_iteration(u0: SpectralField, v0: Trajectory, w0: Trajectory,
     v, w = v0, w0
     records = []
     for j in range(1, j_steps + 1):
-        v_next = u_lin + bilinear_B(v, v, dealias=dealias) \
-            + 2.0 * bilinear_B(v, w, dealias=dealias)
-        w_next = bilinear_B(w, w, dealias=dealias)
+        v_next = u_lin + bilinear_B(v, v) + 2.0 * bilinear_B(v, w)
+        w_next = bilinear_B(w, w)
         v, w = v_next, w_next
         defect = script_norm(u_ref - v - w, 1.0, math.inf, 3.0)
         sup_lp = float(np.max(_spatial_lp(v, 3.0)))

@@ -64,13 +64,11 @@ class _Field:
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
         self._check_compatible(other)
-        return replace(self, coeffs=self.coeffs + other.coeffs,
-                       divergence_free=self.divergence_free and other.divergence_free)
+        return replace(self, coeffs=self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return replace(self, coeffs=self.coeffs - other.coeffs,
-                       divergence_free=self.divergence_free and other.divergence_free)
+        return replace(self, coeffs=self.coeffs - other.coeffs)
 
     def __mul__(self, alpha: float):
         return replace(self, coeffs=self.coeffs * alpha)
@@ -119,7 +117,6 @@ class _Field:
 class SpectralField(_Field):
     grid: GridSpec
     coeffs: np.ndarray  # (3, N, N, N) complex128
-    divergence_free: bool = False
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -142,7 +139,6 @@ class Trajectory(_Field):
     grid: GridSpec
     times: np.ndarray  # (nt,), strictly increasing, times[0] == 0 typically
     coeffs: np.ndarray  # (nt, 3, N, N, N) complex128
-    divergence_free: bool = False
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -161,7 +157,7 @@ class Trajectory(_Field):
         return float(self.times[-1])
 
     def snapshot(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[i], self.divergence_free)
+        return SpectralField(self.grid, self.coeffs[i])
 
     def _check_compatible(self, other) -> None:
         super()._check_compatible(other)
@@ -193,7 +189,7 @@ def lp_norm(phys: np.ndarray, grid: GridSpec, p: float) -> float:
 
 def zero_field(grid: GridSpec) -> SpectralField:
     n = grid.n_points
-    return SpectralField(grid, np.zeros((3, n, n, n), dtype=np.complex128), True)
+    return SpectralField(grid, np.zeros((3, n, n, n), dtype=np.complex128))
 
 
 def from_physical(grid: GridSpec, phys: np.ndarray) -> SpectralField:
@@ -260,9 +256,7 @@ def _random_field(grid: GridSpec, seed: int, band: np.ndarray, amplitude: float,
     if solenoidal:
         f = leray_project(f)
     top = f.l2()
-    if top > 0:
-        f = f * (amplitude / top)
-    return replace(f, divergence_free=solenoidal)
+    return f * (amplitude / top) if top > 0 else f
 
 
 def single_mode(grid: GridSpec, mode: tuple[int, int, int], amp: complex = 1.0,
@@ -298,7 +292,7 @@ def leray_project(u: _Field) -> _Field:
     """Remove the gradient part: c(k) -> c(k) - k (k.c(k)) / |k|^2."""
     c = u.coeffs.copy()
     _project(u.grid, c)
-    return replace(u, coeffs=c, divergence_free=True)
+    return replace(u, coeffs=c)
 
 
 def _project(grid: GridSpec, c: np.ndarray) -> None:

@@ -112,14 +112,14 @@ def bernstein_ratio(u: SpectralField, j: int, p: float, q: float) -> float:
     """
     if q < p:
         raise ValueError("bernstein_ratio expects q >= p")
-    jj = shell_index(u.grid, j)
-    denom = block_lp_norms(u, p)[jj]
+    block = _to_physical(u.coeffs * shell_multipliers(u.grid)[shell_index(u.grid, j)])
+    denom = lp_norm(block, u.grid, p)
     if denom == 0.0:
         return 0.0
     # shell j lives at integer frequencies ~2^(j+1); in physical wavenumbers
     # that is (2 pi / period) 2^(j+1)
     lam = (2.0 * math.pi / u.grid.period) * 2.0 ** (j + 1)
-    return float(block_lp_norms(u, q)[jj] / (lam ** (3.0 * (1.0 / p - 1.0 / q)) * denom))
+    return float(lp_norm(block, u.grid, q) / (lam ** (3.0 * (1.0 / p - 1.0 / q)) * denom))
 
 
 def shell_energies(u: SpectralField) -> np.ndarray:

@@ -54,9 +54,9 @@ def _extended_blocks_physical(u: SpectralField) -> list[np.ndarray]:
     return out
 
 
-def bony_decompose(f: SpectralField, g: SpectralField,
-                   apply_dealias: bool = True) -> BonyTriple:
-    """Split the pointwise product fg into T_f g + T_g f + R(f, g)."""
+def bony_decompose(f: SpectralField, g: SpectralField) -> BonyTriple:
+    """Split the pointwise product fg into T_f g + T_g f + R(f, g), each
+    piece dealiased."""
     if f.grid != g.grid:
         raise GridError("bony_decompose needs a shared grid")
     grid = f.grid
@@ -80,16 +80,14 @@ def bony_decompose(f: SpectralField, g: SpectralField,
                 t_gf += piece
             else:
                 rem += piece
-    pieces = [from_physical(grid, arr) for arr in (t_fg, t_gf, rem)]
-    if apply_dealias:
-        pieces = [dealias(fld) for fld in pieces]
-    return BonyTriple(*pieces)
+    return BonyTriple(*(dealias(from_physical(grid, arr))
+                        for arr in (t_fg, t_gf, rem)))
 
 
 def bony_reconstruction_defect(f: SpectralField, g: SpectralField) -> float:
     """Relative coefficient-space error of the telescoping identity."""
     grid = f.grid
-    tri = bony_decompose(f, g, apply_dealias=True)
+    tri = bony_decompose(f, g)
     prod = dealias(from_physical(grid, f.physical() * g.physical()))
     diff = tri.reconstruct() - prod
     top = prod.sup_coeff()
@@ -161,21 +159,18 @@ def product_estimate_check(
 
 # -- heat flow characterization -------------------------------------------------
 
-def heat_characterization_norm(
-    u: SpectralField, idx: BesovIndex, t_grid: np.ndarray | None = None
-) -> float:
+def heat_characterization_norm(u: SpectralField, idx: BesovIndex) -> float:
     """sup_t t^{-s/2} ||e^{t Laplace} u||_{L^p}: the heat-flow formulation
-    of a negative-regularity Besov norm (s < 0 required)."""
+    of a negative-regularity Besov norm (s < 0 required), over 48
+    geometric times covering the dyadic times of every resolved shell."""
     from .field import heat_flow
 
     if idx.s >= 0:
         raise ValueError("heat characterization needs s < 0")
     grid = u.grid
-    if t_grid is None:
-        # cover the dyadic times matched to every resolved shell
-        k0 = (TWO_PI / grid.period) * 2.0 ** grid.j_min
-        k1 = (TWO_PI / grid.period) * 2.0 ** (grid.j_max + 2)
-        t_grid = np.geomspace(0.05 / k1**2, 4.0 / k0**2, 48)
+    k0 = (TWO_PI / grid.period) * 2.0 ** grid.j_min
+    k1 = (TWO_PI / grid.period) * 2.0 ** (grid.j_max + 2)
+    t_grid = np.geomspace(0.05 / k1**2, 4.0 / k0**2, 48)
     best = 0.0
     for t in t_grid:
         val = t ** (-idx.s / 2.0) * heat_flow(u, t).lp(idx.p)
@@ -183,10 +178,9 @@ def heat_characterization_norm(
     return best
 
 
-def heat_block_decay_rates(
-    u: SpectralField, n_times: int = 12
-) -> list[tuple[int, float, float]]:
-    """Fitted exponential decay rate per shell under the heat flow.
+def heat_block_decay_rates(u: SpectralField) -> list[tuple[int, float, float]]:
+    """Fitted exponential decay rate per shell under the heat flow, from
+    12 times spanning one decay time of the shell.
 
     Returns (j, fitted_rate, reference_rate) triples.  The reference is
     the squared physical wavenumber of the shell's nominal frequency
@@ -205,7 +199,7 @@ def heat_block_decay_rates(
         if block.l2() == 0.0:
             continue
         k_ref = k_unit * 2.0 ** (j + 1)
-        ts = np.linspace(0.0, 1.0 / k_ref**2, n_times)
+        ts = np.linspace(0.0, 1.0 / k_ref**2, 12)
         vals = np.array([heat_flow(block, t).l2() for t in ts])
         good = vals > 0
         slope = np.polyfit(ts[good], np.log(vals[good]), 1)[0]

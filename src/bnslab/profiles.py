@@ -228,27 +228,23 @@ def extract_profiles(
     j_max: int = 4,
     threshold: float = 0.05,
     p: float = 3.0,
-    q: float = 6.0,
-    ref_shell: int = 1,
-    gap_reject: float = 4.0,
-    backfit_sweeps: int = 2,
 ) -> ProfileSet:
     """Greedy profile extraction from a bounded sequence.
 
     Per round: find the dominant (shell, cell) of the tail of the current
-    residual sequence per index n, unscale each member to the reference
-    shell and origin, tail-average to form the candidate profile, then
+    residual sequence per index n, unscale each member to shell 1 and
+    the origin, tail-average to form the candidate profile, then
     subtract its rescaled copies.  Candidates whose schedule fails to
-    diverge (final gap < gap_reject) against an accepted one are treated
-    as the same profile and rejected.  Stops when the tail-averaged
-    residual norm in the supercritical index drops below threshold.
-    Greedy deflation leaves mutual contamination between profiles, so a
-    few alternating back-fitting sweeps re-estimate each accepted profile
+    diverge (final gap < 4) against an accepted one are treated as the
+    same profile and rejected.  Stops when the tail-averaged residual
+    norm in the supercritical index B^{-1/2}_{6,6} drops below threshold.
+    Greedy deflation leaves mutual contamination between profiles, so two
+    alternating back-fitting sweeps re-estimate each accepted profile
     against the residual with its own contribution restored.
     """
     grid = seq[0].grid
     idx = critical_index(p, p)
-    idx_q = critical_index(q, q)
+    idx_q = critical_index(6.0, 6.0)
     residual = [replace(f, coeffs=f.coeffs.copy()) for f in seq]
     n_seq = len(seq)
     tail = range(n_seq // 2, n_seq)
@@ -267,7 +263,7 @@ def extract_profiles(
         for n in range(n_seq):
             j_star = _dominant_shell(residual[n], idx)
             core = _peak_cell(residual[n])
-            sched.append(ScaleCore(ref_shell - j_star, core))
+            sched.append(ScaleCore(1 - j_star, core))
         cand = _tail_average(residual, sched, tail, p)
         # refine the per-index cores by cross-correlating each residual
         # against the scaled candidate (raw peak cells are noisy when
@@ -283,7 +279,7 @@ def extract_profiles(
         duplicate = False
         for prev in raw_schedules:
             gap = orthogonality_gap(sched[-1], prev, grid)
-            if gap < gap_reject:
+            if gap < 4.0:
                 duplicate = True
                 break
         if duplicate:
@@ -299,7 +295,7 @@ def extract_profiles(
                                   for n in tail])) < threshold
     # back-fitting: refit each profile on the residual with its own
     # contribution restored, cleaning up greedy cross-contamination
-    for _ in range(backfit_sweeps if profiles else 0):
+    for _ in range(2 if profiles else 0):
         for jj in range(len(profiles)):
             for n in range(n_seq):
                 residual[n] = residual[n] + scale_op(

@@ -48,7 +48,7 @@ def write_field(path, u: SpectralField) -> None:
         fh.write(flat.tobytes())
 
 
-def read_field(path, divergence_free: bool = False) -> SpectralField:
+def read_field(path) -> SpectralField:
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -69,7 +69,7 @@ def read_field(path, divergence_free: bool = False) -> SpectralField:
     if not np.all(np.isfinite(coeffs)):
         raise ConfigError(f"{path}: non-finite snapshot coefficient")
     coeffs = coeffs.reshape(3, n_points, n_points, n_points).astype(np.complex128)
-    u = SpectralField(grid, coeffs, divergence_free=divergence_free)
+    u = SpectralField(grid, coeffs)
     defect = u.hermitian_defect()
     if defect > 1e-10:
         raise ConfigError(f"{path}: coefficients are not Hermitian-symmetric "
@@ -91,7 +91,7 @@ def write_trajectory(directory, traj: Trajectory) -> None:
         write_field(directory / f"snapshot_{i:05d}.bnsf", traj.snapshot(i))
 
 
-def read_trajectory(directory, divergence_free: bool = False) -> Trajectory:
+def read_trajectory(directory) -> Trajectory:
     directory = Path(directory)
     times_file = directory / "times.csv"
     if not times_file.exists():
@@ -100,7 +100,7 @@ def read_trajectory(directory, divergence_free: bool = False) -> Trajectory:
     for line in times_file.read_text().splitlines()[1:]:
         _, t = line.split(",")
         times.append(float(t))
-    fields = [read_field(directory / f"snapshot_{i:05d}.bnsf", divergence_free)
+    fields = [read_field(directory / f"snapshot_{i:05d}.bnsf")
               for i in range(len(times))]
     return from_fields(np.array(times), fields)
 

@@ -28,7 +28,6 @@ class SolverConfig:
     n_steps: int
     picard_tol: float = 1e-8
     max_picard_iters: int = 40
-    dealias: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -78,10 +77,10 @@ def heat_trajectory(u0: SpectralField, times) -> Trajectory:
     k2 = wavenumber_sq(u0.grid)
     mult = np.exp(-np.multiply.outer(times, k2))  # (nt, N, N, N)
     coeffs = mult[:, None] * u0.coeffs[None]
-    return Trajectory(u0.grid, times, coeffs, u0.divergence_free)
+    return Trajectory(u0.grid, times, coeffs)
 
 
-def nonlinear_term(u: Trajectory, v: Trajectory, dealias: bool = True) -> np.ndarray:
+def nonlinear_term(u: Trajectory, v: Trajectory) -> np.ndarray:
     """g(t) = P grad.(u (x)_sigma v)(t) for all sampled times, as coefficients.
 
     The symmetrized tensor product is formed pointwise in physical space
@@ -94,7 +93,7 @@ def nonlinear_term(u: Trajectory, v: Trajectory, dealias: bool = True) -> np.nda
     n = grid.n_points
     up = _to_physical(u.coeffs)
     vp = up if v is u else _to_physical(v.coeffs)
-    mask = dealias_mask(grid) if dealias else 1.0
+    mask = dealias_mask(grid)
     k = wavevectors(grid).astype(float) * (TWO_PI / grid.period)
     g = np.zeros((nt, 3, n, n, n), dtype=np.complex128)
     for a in range(3):
@@ -139,11 +138,11 @@ def duhamel_integral(grid: GridSpec, times: np.ndarray, g: np.ndarray,
     return sign * out
 
 
-def bilinear_B(u: Trajectory, v: Trajectory, dealias: bool = True) -> Trajectory:
+def bilinear_B(u: Trajectory, v: Trajectory) -> Trajectory:
     """B(u,v)(t) = -int_0^t e^{(t-t')Laplacian} P grad.(u (x)_sigma v) dt'."""
-    g = nonlinear_term(u, v, dealias=dealias)
+    g = nonlinear_term(u, v)
     coeffs = duhamel_integral(u.grid, u.times, g, sign=-1.0)
-    return Trajectory(u.grid, u.times, coeffs, divergence_free=True)
+    return Trajectory(u.grid, u.times, coeffs)
 
 
 def forcing_integral(f: Trajectory) -> Trajectory:
@@ -153,7 +152,7 @@ def forcing_integral(f: Trajectory) -> Trajectory:
     _project(grid, g)
     g[:, :, 0, 0, 0] = 0.0
     coeffs = duhamel_integral(grid, f.times, g, sign=1.0)
-    return Trajectory(grid, f.times, coeffs, divergence_free=True)
+    return Trajectory(grid, f.times, coeffs)
 
 
 # -- Picard solver -----------------------------------------------------------
@@ -193,8 +192,7 @@ def picard_solve(
     idx = idx if idx is not None else critical_index(3.0, 3.0)
     u_lin = heat_trajectory(u0, cfg.times)
     u, residuals, converged = _picard(
-        u_lin, lambda u: u_lin + bilinear_B(u, u, dealias=cfg.dealias),
-        cfg, idx.p)
+        u_lin, lambda u: u_lin + bilinear_B(u, u), cfg, idx.p)
     return u, monitor(u, idx, residuals=residuals, diverged=not converged)
 
 
@@ -221,14 +219,12 @@ def solve_perturbed(
     cfg: SolverConfig,
     drifts: list[Trajectory] = (),
     forcings: list[Trajectory] = (),
-    include_self_term: bool = True,
-    p: float = 3.0,
 ) -> tuple[Trajectory, bool]:
     """Solve w = e^{tL}w0 + B(w,w) + 2B_sigma(v, w) + H(f) by Picard.
 
     v is the sum of the drift trajectories, f the sum of the forcings
-    (spectral divergence-of-tensor data).  Returns (trajectory, converged).
-    Dropping the self term B(w,w) gives the linear problem.
+    (spectral divergence-of-tensor data).  Returns (trajectory, converged);
+    residuals are measured at spatial integrability p = 3.
     """
     times = cfg.times
     base = heat_trajectory(w0, times)
@@ -242,14 +238,12 @@ def solve_perturbed(
         base = base + forcing_integral(f)
 
     def step(w: Trajectory) -> Trajectory:
-        w_next = base
-        if include_self_term:
-            w_next = w_next + bilinear_B(w, w, dealias=cfg.dealias)
+        w_next = base + bilinear_B(w, w)
         if v is not None:
-            w_next = w_next + 2.0 * bilinear_B(v, w, dealias=cfg.dealias)
+            w_next = w_next + 2.0 * bilinear_B(v, w)
         return w_next
 
-    w, _, converged = _picard(base, step, cfg, p)
+    w, _, converged = _picard(base, step, cfg, 3.0)
     return w, converged
 
 

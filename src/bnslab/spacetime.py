@@ -25,13 +25,13 @@ def from_fields(times, fields: list[SpectralField]) -> Trajectory:
         raise ValueError("times and snapshots differ in length")
     grid = fields[0].grid
     coeffs = np.stack([f.coeffs for f in fields])
-    return Trajectory(grid, times, coeffs, all(f.divergence_free for f in fields))
+    return Trajectory(grid, times, coeffs)
 
 
 def constant_trajectory(u: SpectralField, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
     coeffs = np.broadcast_to(u.coeffs, (len(times),) + u.coeffs.shape).copy()
-    return Trajectory(u.grid, times, coeffs, u.divergence_free)
+    return Trajectory(u.grid, times, coeffs)
 
 
 def rescale_trajectory(traj: Trajectory, m: int) -> Trajectory:

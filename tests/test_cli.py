@@ -124,6 +124,25 @@ def test_exit_2_on_unpaired_mode_snapshot(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("solenoidal, expected", [(True, 0), (False, 2)])
+def test_snapshot_must_be_divergence_free(tmp_path, capsys, solenoidal, expected):
+    u = random_band_limited(GridSpec(32), j_lo=0, j_hi=2, seed=9,
+                            solenoidal=solenoidal)
+    path = tmp_path / "u.bnsf"
+    write_field(path, u)
+    body = f"[grid]\nn_points = 32\n[field]\npath = {path}\n"
+    code, _ = run(tmp_path, "generate-field", body)
+    assert code == expected
+    assert ("not divergence-free" in capsys.readouterr().err) == (not solenoidal)
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_exit_2_on_dealias_key(tmp_path, capsys, value):
+    code, _ = run(tmp_path, "solve", SOLVE + f"dealias = {value}\n", "--seed", "4")
+    assert code == 2
+    assert "always dealiased" in capsys.readouterr().err
+
+
 def test_exit_2_on_bad_thread_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BNSLAB_THREADS", "two")
     code, _ = run(tmp_path, "generate-field", GEN, "--seed", "9")

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from bnslab import expansion
 from bnslab.errors import InversionError
 from bnslab.expansion import (OperatorHandle, apply_L, duhamel_expand,
                               expand_solution, heat_drift_defect, invert_K,
@@ -95,6 +96,29 @@ def test_invert_K_rejects_huge_drift(grid):
     z = apply_L(handle, w)
     with pytest.raises(InversionError):
         invert_K(handle, z)
+
+
+def test_invert_K_stops_doubling_at_single_level_slabs(grid, monkeypatch):
+    # with 3 time levels, 4 slabs already hold one level each: the rounds
+    # run on 1, 2 and 4 slabs, each on a new partition, and then it gives up
+    cfg = SolverConfig(dt=0.01, n_steps=2)
+    v = heat_trajectory(
+        random_band_limited(grid, j_lo=0, j_hi=2, seed=70, amplitude=5000.0), cfg.times)
+    w = heat_trajectory(
+        random_band_limited(grid, j_lo=0, j_hi=2, seed=71, amplitude=0.1), cfg.times)
+    handle = OperatorHandle(v)
+    z = apply_L(handle, w)
+    partitions = []
+
+    def recording(nt, n_slabs, _bounds=expansion._slab_bounds):
+        bounds = _bounds(nt, n_slabs)
+        partitions.append(tuple(np.unique(bounds)))
+        return bounds
+
+    monkeypatch.setattr(expansion, "_slab_bounds", recording)
+    with pytest.raises(InversionError, match="within 4 time slabs"):
+        invert_K(handle, z)
+    assert partitions == [(0, 3), (0, 1, 3), (0, 1, 2, 3)]
 
 
 def test_heat_drift_defect_small(grid):

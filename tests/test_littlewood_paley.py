@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from bnslab import littlewood_paley
 from bnslab.field import (random_band_limited, scaling_transform, shell_bump,
                           single_mode)
 from bnslab.grid import GridSpec
@@ -85,6 +86,20 @@ def test_bernstein_ratio_bounded(grid):
     for j in grid.shells:
         r = bernstein_ratio(u, j, 2.0, 6.0)
         assert r < 4.0
+
+
+def test_bernstein_ratio_transforms_one_block_once(grid, monkeypatch):
+    calls = []
+
+    def counting(c, _to_physical=littlewood_paley._to_physical):
+        calls.append(c.shape)
+        return _to_physical(c)
+
+    u = random_band_limited(grid, j_lo=0, j_hi=3, seed=14)
+    expected = bernstein_ratio(u, 1, 2.0, 6.0)
+    monkeypatch.setattr(littlewood_paley, "_to_physical", counting)
+    assert bernstein_ratio(u, 1, 2.0, 6.0) == expected
+    assert len(calls) == 1
 
 
 def test_shell_energies_sum_to_l2(grid):

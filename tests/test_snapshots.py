@@ -22,10 +22,9 @@ def test_field_roundtrip(grid, tmp_path):
     u = random_band_limited(grid, j_lo=0, j_hi=2, seed=60)
     path = tmp_path / "u.bnsf"
     write_field(path, u)
-    v = read_field(path, divergence_free=True)
+    v = read_field(path)
     assert v.grid == u.grid
     assert np.array_equal(v.coeffs, u.coeffs)
-    assert v.divergence_free
 
 
 def test_write_is_deterministic(grid, tmp_path):

@@ -5,8 +5,9 @@ Oracles: a recording wrapper around scipy.fft shows that the package
 thread setting reaches every transform path; a scan of the package
 source shows that no module other than `field` makes a transform or
 holds a worker count, that no module other than `grid` and
-`littlewood_paley` touches the shell multipliers, and that fields and
-trajectories share one arithmetic with no operator applied per snapshot.
+`littlewood_paley` touches the shell multipliers, that fields and
+trajectories share one arithmetic with no operator applied per snapshot,
+and that solenoidality and dealiasing are not switches.
 """
 import ast
 from pathlib import Path
@@ -114,5 +115,24 @@ def test_shell_multipliers_live_only_in_grid_and_littlewood_paley():
             if isinstance(node, ast.ImportFrom):
                 names |= {a.name for a in node.names}
             if "shell_multipliers" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_divergence_flag_or_dealias_switch():
+    """Solenoidality is measured (`divergence_defect`), never carried as a
+    label, and products are always dealiased: no name `divergence_free`
+    and no parameter or keyword `dealias`/`apply_dealias` in the package."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.arg, ast.keyword)):
+                names.add(node.arg)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if "divergence_free" in names or (
+                    isinstance(node, (ast.arg, ast.keyword))
+                    and node.arg in ("dealias", "apply_dealias")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
