@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import difflib
 import math
 import os
 import sys
@@ -76,6 +77,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out or cfg.get("output", "dir", fallback="bnslab-out"))
     handler = _HANDLERS[args.command]
     try:
+        _check_keys(cfg)
         seed = args.seed if args.seed is not None else cfg.getint(
             "field", "seed", fallback=0)
         extra = handler(cfg, seed, out_dir)
@@ -98,6 +100,34 @@ def main(argv=None) -> int:
 def _error_report(out_dir: Path, message: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "error.csv").write_text(f"error\n{message}\n")
+
+
+_FIELD_KEYS = {"path", "kind", "amplitude", "j_lo", "j_hi", "j"}
+# The keys each section is read for; any other section or key is a config error.
+_KEYS = {
+    "grid": {"n_points", "period"}, "output": {"dir", "write_trajectory"},
+    "field": _FIELD_KEYS | {"seed"}, "profile1": _FIELD_KEYS, "profile2": _FIELD_KEYS,
+    "solver": {"dt", "n_steps", "picard_tol", "max_picard_iters", "monitor_p",
+               "require_convergence"},
+    "norms": {"p", "q", "t_final", "n_steps"}, "iterate": {"j_steps"},
+    "expand": {"mode", "k", "n_terms", "p", "residual_tol"}, "verify": {"n_fields"},
+    "profiles": {"m_sweep", "sep_sweep", "p", "evolve", "extract", "threshold"},
+}
+
+
+def _check_keys(cfg) -> None:
+    """Reject any section or key outside `_KEYS`, naming the nearest known one."""
+    if cfg.has_option("solver", "dealias"):
+        raise ConfigError("[solver] dealias is not a setting: products are "
+                          "always dealiased")
+    names = [(s, _KEYS, "section") for s in cfg.sections()]
+    names += [(k, _KEYS.get(s, ()), f"key in [{s}]")
+              for s in cfg.sections() for k in cfg[s]]
+    for name, known, what in names:
+        if name not in known:
+            near = difflib.get_close_matches(name, known, n=1)
+            raise ConfigError(f"unknown {what}: {name!r}"
+                              + (f"; did you mean {near[0]!r}?" if near else ""))
 
 
 def _grid(cfg) -> GridSpec:
@@ -136,9 +166,6 @@ def _field(cfg, grid: GridSpec, seed: int, section: str = "field") -> SpectralFi
 
 
 def _solver_config(cfg) -> SolverConfig:
-    if cfg.has_option("solver", "dealias"):
-        raise ConfigError("[solver] dealias is not a setting: products are "
-                          "always dealiased")
     return SolverConfig(
         dt=cfg.getfloat("solver", "dt", fallback=0.005),
         n_steps=cfg.getint("solver", "n_steps", fallback=32),

@@ -49,6 +49,25 @@ def _to_spectral(phys: np.ndarray) -> np.ndarray:
     return sfft.fftn(phys, axes=(-3, -2, -1), norm="forward", workers=_WORKERS)
 
 
+def _real_physical(half: np.ndarray, n: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of Hermitian coefficients from their first k_z >= 0
+    planes (the k_z < 0 half of a real field mirrors them), by `irfftn`.
+    With `rows`, `half` holds only the x and y modes at those fftn rows, and
+    the inverse skips the zero lines: x over the occupied y-z lines, then y
+    over every x, then the real z pass."""
+    if rows is None:
+        return sfft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward",
+                           workers=_WORKERS)
+    lead, nz = half.shape[:-3], half.shape[-1]
+    buf = np.zeros(lead + (n, len(rows), nz), dtype=complex)
+    buf[..., rows, :, :] = half
+    xs = sfft.ifftn(buf, axes=(-3,), norm="forward", workers=_WORKERS, overwrite_x=True)
+    buf = np.zeros(lead + (n, n, nz), dtype=complex)
+    buf[..., rows, :] = xs
+    ys = sfft.ifftn(buf, axes=(-2,), norm="forward", workers=_WORKERS, overwrite_x=True)
+    return sfft.irfftn(ys, s=(n,), axes=(-1,), norm="forward", workers=_WORKERS)
+
+
 class _Field:
     """What a field and a trajectory share: coefficients shaped
     (..., 3, N, N, N) on one grid, the arithmetic and the defect checks.
@@ -129,7 +148,8 @@ class SpectralField(_Field):
         return math.sqrt(vol * float(np.sum(np.abs(self.coeffs) ** 2)))
 
     def lp(self, p: float) -> float:
-        return lp_norm(self.physical(), self.grid, p)
+        n = self.grid.n_points
+        return lp_norm(_real_physical(self.coeffs[..., : n // 2 + 1], n), self.grid, p)
 
 
 @dataclass(frozen=True)
@@ -173,16 +193,21 @@ def _reverse(c: np.ndarray) -> np.ndarray:
 def lp_norm(phys: np.ndarray, grid: GridSpec, p: float) -> float:
     """L^p norm of a (3,N,N,N) or (N,N,N) sample array by the rectangle rule.
 
-    Vector fields use the pointwise Euclidean magnitude.  p = inf is the
-    grid max (which underestimates the true sup between grid points).
+    Vector fields use the pointwise Euclidean magnitude, from its square m2.
+    p = inf is the grid max (which underestimates the true sup between grid
+    points); an integer p takes |u|^p as products of m2 (times sqrt(m2) when
+    p is odd), and only other p take a real power.
     """
-    if phys.ndim == 4:
-        mag = np.sqrt(np.sum(phys * phys, axis=0))
-    else:
-        mag = np.abs(phys)
+    m2 = sum(a * a for a in phys) if phys.ndim == 4 else phys * phys
     if math.isinf(p):
-        return float(np.max(mag))
-    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+        return math.sqrt(float(np.max(m2)))
+    if p != int(p):
+        powered = np.sqrt(m2) ** p
+    else:
+        powered = np.sqrt(m2) if p % 2 else m2
+        for _ in range(int(p - 1) // 2):
+            powered = powered * m2
+    return float((np.sum(powered) * grid.cell_volume) ** (1.0 / p))
 
 
 # -- constructors ---------------------------------------------------------

@@ -5,19 +5,30 @@ trimmed tails S_{j_min} u and (Id - S_{j_max+1}) u so that reconstruction
 is exact by telescoping.
 
 `block_lp_norms` is the one block-norm engine behind every Besov,
-Chemin-Lerner, script and Kato norm.
+Chemin-Lerner, script and Kato norm.  It never forms a full complex block,
+and three rules keep it exact for the real fields the package holds.  The
+blocks of a real field are real, so `irfftn` of their k_z >= 0 half gives
+the samples.  At p = 2 the rectangle-rule norm of a trigonometric
+polynomial is Parseval's vol * sum |delta_j c|^2, with no transform.  And
+delta_j vanishes exactly outside |n_i| <= K (K read from the multiplier),
+so when 2(2K+1) <= N the inverse skips lines that hold only zeros
+(Sorensen & Burrus 1993): x over the (2K+1)(K+1) occupied y-z lines, y
+over N(K+1), then the real z pass.  Wider shells take the plain
+`irfftn`, where pruning saves no work but costs memory.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, _to_physical, lp_norm
-from .grid import GridSpec, low_pass_multipliers, shell_index, shell_multipliers
+from .field import SpectralField, _real_physical, _to_physical, lp_norm
+from .grid import (GridSpec, low_pass_multipliers, shell_index, shell_multipliers,
+                   wavevectors)
 
 
 @dataclass(frozen=True)
@@ -67,15 +78,43 @@ def lp_decompose(u: SpectralField) -> LPBlockSet:
     return LPBlockSet(grid, blocks, low_tail, high_tail)
 
 
+@functools.lru_cache(maxsize=8)
+def _shell_plans(grid: GridSpec) -> tuple:
+    """Per resolved shell: the index of the k_z >= 0 modes it can occupy,
+    their x and y fftn rows (None if too wide to prune), the multiplier there."""
+    n = grid.n_points
+    modes = np.abs(wavevectors(grid))
+    plans = []
+    for delta in shell_multipliers(grid):
+        k = int(modes[:, delta != 0].max(initial=0))
+        if 2 * (2 * k + 1) <= n:
+            rows = np.r_[0:k + 1, n - k:n]
+            box = np.ix_(rows, rows, np.arange(k + 1))
+        else:
+            rows, box = None, (slice(None), slice(None), slice(n // 2 + 1))
+        plans.append((box, rows, np.ascontiguousarray(delta[box])))
+    return tuple(plans)
+
+
 def block_lp_norms(u, p: float) -> np.ndarray:
     """||Delta_j u||_{L^p} for the resolved shells, shaped coeffs.shape[:-4]
-    + (n_shells,) for any u with a `.grid` and `.coeffs` (..., 3, N, N, N),
-    e.g. a field or a trajectory; one block is transformed at a time."""
-    deltas = shell_multipliers(u.grid)
-    out = np.empty(u.coeffs.shape[:-4] + (len(deltas),))
+    + (n_shells,) for any real u with a `.grid` and `.coeffs` (..., 3, N,
+    N, N), e.g. a field or a trajectory.  One block is transformed at a
+    time, from its half spectrum and only over the lines it occupies; p = 2
+    takes Parseval sums instead (see the module docstring)."""
+    grid, n = u.grid, u.grid.n_points
+    plans = _shell_plans(grid)
+    out = np.empty(u.coeffs.shape[:-4] + (len(plans),))
     for i in np.ndindex(out.shape[:-1]):
-        for jj, delta in enumerate(deltas):
-            out[i + (jj,)] = lp_norm(_to_physical(u.coeffs[i] * delta), u.grid, p)
+        c = u.coeffs[i]
+        if p == 2.0:
+            energy = np.sum(np.abs(c) ** 2, axis=0)
+            out[i] = [math.sqrt(grid.period**3 * float(np.sum(delta * delta * energy)))
+                      for delta in shell_multipliers(grid)]
+            continue
+        for jj, (box, rows, mult) in enumerate(plans):
+            block = _real_physical(c[(Ellipsis,) + box] * mult, n, rows)
+            out[i + (jj,)] = lp_norm(block, grid, p)
     return out
 
 
@@ -124,5 +163,4 @@ def bernstein_ratio(u: SpectralField, j: int, p: float, q: float) -> float:
 
 def shell_energies(u: SpectralField) -> np.ndarray:
     """||Delta_j u||_{L^2}^2 per resolved shell (Parseval, exact)."""
-    bs = lp_decompose(u)
-    return np.array([b.l2() ** 2 for b in bs.blocks])
+    return block_lp_norms(u, 2.0) ** 2

@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import (SpectralField, Trajectory, _to_physical, lp_norm,
-                    scaling_transform)
+from .field import SpectralField, Trajectory, scaling_transform
 from .grid import GridSpec
 from .littlewood_paley import BesovIndex, besov_from_blocks, block_lp_norms
 
@@ -72,8 +71,8 @@ def block_norm_matrix(traj: Trajectory, p: float) -> np.ndarray:
 
 
 def _spatial_lp(traj: Trajectory, p: float) -> np.ndarray:
-    """||u(t_i)||_{L^p} for each time level, one transform per level."""
-    return np.array([lp_norm(_to_physical(c), traj.grid, p) for c in traj.coeffs])
+    """||u(t_i)||_{L^p} for each time level, one real transform per level."""
+    return np.array([SpectralField(traj.grid, c).lp(p) for c in traj.coeffs])
 
 
 def _window(traj: Trajectory, t1: float, t2: float) -> Trajectory:

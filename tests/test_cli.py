@@ -143,6 +143,20 @@ def test_exit_2_on_dealias_key(tmp_path, capsys, value):
     assert "always dealiased" in capsys.readouterr().err
 
 
+def test_exit_2_on_unknown_key(tmp_path, capsys):
+    body = GEN.replace("amplitude = 0.3", "amplitud = 5.0")
+    code, out = run(tmp_path, "generate-field", body, "--seed", "9")
+    assert code == 2
+    assert "did you mean 'amplitude'" in capsys.readouterr().err
+    assert not (out / "field.bnsf").exists()
+
+
+def test_exit_2_on_unknown_section(tmp_path, capsys):
+    code, _ = run(tmp_path, "solve", SOLVE.replace("[solver]", "[solve]"), "--seed", "4")
+    assert code == 2
+    assert "did you mean 'solver'" in capsys.readouterr().err
+
+
 def test_exit_2_on_bad_thread_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BNSLAB_THREADS", "two")
     code, _ = run(tmp_path, "generate-field", GEN, "--seed", "9")
@@ -160,7 +174,7 @@ def test_exit_3_on_divergence(tmp_path):
 
 def test_expand_command(tmp_path):
     body = SOLVE.replace("amplitude = 0.3", "amplitude = 0.05") + (
-        "[expand]\nmode = duhamel\norder = 2\n")
+        "[expand]\nmode = duhamel\nn_terms = 2\n")
     code, out = run(tmp_path, "expand", body, "--seed", "4")
     assert code == 0
     report = (out / "report.csv").read_text()

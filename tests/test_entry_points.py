@@ -1,6 +1,6 @@
-"""The documented entry points run: the README "Quick start" block and
-each script's `--help`, so a renamed or moved name breaks a test rather
-than the docs."""
+"""The documented entry points run: the README "Quick start" block, its
+example config and each script's `--help`, so a renamed or moved name
+breaks a test rather than the docs."""
 import os
 import re
 import subprocess
@@ -21,6 +21,14 @@ def test_readme_quick_start_runs(capsys):
     lines = capsys.readouterr().out.split()
     assert lines[0] == "decaying"
     assert float(lines[1]) > 0.0
+
+
+def test_readme_config_runs(tmp_path):
+    from bnslab.cli import main
+    readme = (ROOT / "README.md").read_text()
+    (tmp_path / "solve.ini").write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    assert main(["solve", "--config", str(tmp_path / "solve.ini"), "--seed", "7",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)

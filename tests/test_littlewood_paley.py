@@ -2,17 +2,20 @@
 
 Oracles: single-mode fields give closed-form block and Besov norms;
 reconstruction is checked against the identity; criticality against
-the exact scaling law; Bernstein ratios against the dimensional bound.
+the exact scaling law; Bernstein ratios against the dimensional bound;
+the block-norm engine against the plain formula (full complex inverse
+of each block, magnitude raised to p).
 """
 import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from bnslab import littlewood_paley
-from bnslab.field import (random_band_limited, scaling_transform, shell_bump,
-                          single_mode)
-from bnslab.grid import GridSpec
+from bnslab.field import (Trajectory, hermitian_symmetrize, random_band_limited,
+                          scaling_transform, shell_bump, single_mode)
+from bnslab.grid import GridSpec, shell_multipliers
 from bnslab.littlewood_paley import (BesovIndex, bernstein_ratio, besov_norm,
                                      block_lp_norms, critical_index,
                                      lp_decompose, shell_energies)
@@ -122,3 +125,59 @@ def test_shell_bump_single_shell_norm(grid):
     ]
     assert besov_norm(u, idx) == pytest.approx(sum(contributions) ** (1 / 6),
                                                rel=1e-12)
+
+
+def _reference_lp(phys, grid, p):
+    mag = np.sqrt(np.sum(phys * phys, axis=0))
+    if math.isinf(p):
+        return float(np.max(mag))
+    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+
+
+def _reference_block_norms(u, p):
+    deltas = shell_multipliers(u.grid)
+    out = np.empty(u.coeffs.shape[:-4] + (len(deltas),))
+    for i in np.ndindex(out.shape[:-1]):
+        for jj, delta in enumerate(deltas):
+            block = np.real(scipy.fft.ifftn(u.coeffs[i] * delta, axes=(-3, -2, -1),
+                                            norm="forward"))
+            out[i + (jj,)] = _reference_lp(block, u.grid, p)
+    return out
+
+
+def _full_spectrum(grid, seed):
+    """A real field with every mode populated, the Nyquist planes included,
+    so every shell (the top one up to the grid's corners) is nonzero."""
+    rng = np.random.default_rng(seed)
+    shape = (3,) + (grid.n_points,) * 3
+    return hermitian_symmetrize(grid, rng.standard_normal(shape)
+                                + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(32), GridSpec(64), GridSpec(64, j_min=1),
+                                  GridSpec(32, period=1.0)],
+                         ids=["32", "64", "64-jmin1", "32-period1"])
+def test_block_engine_matches_full_transform(grid):
+    """Half spectrum, pruned passes, product powers and Parseval at p = 2
+    agree with the full complex inverse of every block to 1e-14, and a
+    block that is zero comes out exactly 0."""
+    u = _full_spectrum(grid, seed=21)
+    bump = shell_bump(grid, grid.j_min + 1, seed=22)  # the far shells are exactly 0
+    traj = Trajectory(grid, np.array([0.0, 0.5, 1.0]),
+                      np.stack([u.coeffs, bump.coeffs, np.zeros_like(u.coeffs)]))
+    for p in (2.0, 3.0, 4.0, 6.0, 2.5, math.inf):
+        got, ref = littlewood_paley.block_lp_norms(traj, p), _reference_block_norms(traj, p)
+        assert np.all(ref[0] > 0.0) and np.all(ref[2] == 0.0)
+        assert np.array_equal(got == 0.0, ref == 0.0), p
+        nonzero = ref > 0.0
+        assert np.max(np.abs(got - ref)[nonzero] / ref[nonzero]) < 1e-14, p
+        assert np.array_equal(littlewood_paley.block_lp_norms(u, p), got[0])
+
+
+@pytest.mark.parametrize("grid", [GridSpec(32), GridSpec(64, j_min=1),
+                                  GridSpec(32, period=1.0)],
+                         ids=["32", "64-jmin1", "32-period1"])
+def test_shell_energies_are_block_l2_squared(grid):
+    u = _full_spectrum(grid, seed=23)
+    ref = _reference_block_norms(u, 2.0) ** 2
+    assert np.max(np.abs(shell_energies(u) - ref) / ref) < 1e-14
