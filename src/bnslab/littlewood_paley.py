@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import GridError
 from .field import SpectralField, _real_physical, _to_physical, lp_norm
-from .grid import (GridSpec, low_pass_multipliers, shell_index, shell_multipliers,
-                   wavevectors)
+from .grid import GridSpec, low_pass_multipliers, shell_index, shell_multipliers
 
 
 @dataclass(frozen=True)
@@ -80,19 +79,19 @@ def lp_decompose(u: SpectralField) -> LPBlockSet:
 
 @functools.lru_cache(maxsize=8)
 def _shell_plans(grid: GridSpec) -> tuple:
-    """Per resolved shell: the index of the k_z >= 0 modes it can occupy,
-    their x and y fftn rows (None if too wide to prune), the multiplier there."""
+    """Per resolved shell: the index of the k_z >= 0 modes it can occupy and
+    their x and y fftn rows (None when the shell is too wide to prune)."""
     n = grid.n_points
-    modes = np.abs(wavevectors(grid))
+    freqs = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)
     plans = []
     for delta in shell_multipliers(grid):
-        k = int(modes[:, delta != 0].max(initial=0))
+        # radial multiplier: its extent K along x is its extent on every axis
+        k = int(np.max(freqs[np.any(delta != 0, axis=(1, 2))], initial=0))
         if 2 * (2 * k + 1) <= n:
             rows = np.r_[0:k + 1, n - k:n]
-            box = np.ix_(rows, rows, np.arange(k + 1))
+            plans.append((np.ix_(rows, rows, np.arange(k + 1)), rows))
         else:
-            rows, box = None, (slice(None), slice(None), slice(n // 2 + 1))
-        plans.append((box, rows, np.ascontiguousarray(delta[box])))
+            plans.append(((slice(None), slice(None), slice(n // 2 + 1)), None))
     return tuple(plans)
 
 
@@ -103,18 +102,17 @@ def block_lp_norms(u, p: float) -> np.ndarray:
     time, from its half spectrum and only over the lines it occupies; p = 2
     takes Parseval sums instead (see the module docstring)."""
     grid, n = u.grid, u.grid.n_points
-    plans = _shell_plans(grid)
+    deltas, plans = shell_multipliers(grid), _shell_plans(grid)
     out = np.empty(u.coeffs.shape[:-4] + (len(plans),))
     for i in np.ndindex(out.shape[:-1]):
         c = u.coeffs[i]
         if p == 2.0:
             energy = np.sum(np.abs(c) ** 2, axis=0)
-            out[i] = [math.sqrt(grid.period**3 * float(np.sum(delta * delta * energy)))
-                      for delta in shell_multipliers(grid)]
-            continue
-        for jj, (box, rows, mult) in enumerate(plans):
-            block = _real_physical(c[(Ellipsis,) + box] * mult, n, rows)
-            out[i + (jj,)] = lp_norm(block, grid, p)
+            out[i] = [math.sqrt(grid.period**3 * float(np.sum(d * d * energy)))
+                      for d in deltas]
+        else:
+            out[i] = [lp_norm(_real_physical(c[(Ellipsis,) + box] * d[box], n, rows),
+                              grid, p) for d, (box, rows) in zip(deltas, plans)]
     return out
 
 
