@@ -166,12 +166,12 @@ def test_block_engine_matches_full_transform(grid):
     traj = Trajectory(grid, np.array([0.0, 0.5, 1.0]),
                       np.stack([u.coeffs, bump.coeffs, np.zeros_like(u.coeffs)]))
     for p in (2.0, 3.0, 4.0, 6.0, 2.5, math.inf):
-        got, ref = littlewood_paley.block_lp_norms(traj, p), _reference_block_norms(traj, p)
+        got, ref = block_lp_norms(traj, p), _reference_block_norms(traj, p)
         assert np.all(ref[0] > 0.0) and np.all(ref[2] == 0.0)
         assert np.array_equal(got == 0.0, ref == 0.0), p
         nonzero = ref > 0.0
         assert np.max(np.abs(got - ref)[nonzero] / ref[nonzero]) < 1e-14, p
-        assert np.array_equal(littlewood_paley.block_lp_norms(u, p), got[0])
+        assert np.array_equal(block_lp_norms(u, p), got[0])
 
 
 @pytest.mark.parametrize("grid", [GridSpec(32), GridSpec(64, j_min=1),
