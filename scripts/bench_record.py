@@ -1,13 +1,14 @@
 """Record the benchmark and the tier-1 test durations of this checkout in
 BENCH_<label>.json at the repository root.
 
-Usage: python3 scripts/bench_record.py --label NAME [--seed 0] [--seconds 25]
+Usage: python3 scripts/bench_record.py --label NAME
 
 For each workload in BENCHMARK.json it runs perfbench/run.py, unchanged,
-at --trace 0 and at --trace 1, one run at a time, and keeps each run's
-printed metric lines, its final JSON result line and its environment
-record.  It then runs the tier-1 suite with --durations=0 and keeps the
-summary line and every duration line.  Standard library only.
+at seed 0 for BENCHMARK.json's run_seconds, at --trace 0 and at --trace 1,
+one run at a time, and keeps each run's printed metric lines, its final
+JSON result line and its environment record.  It then runs the tier-1
+suite with --durations=0 and keeps the summary line and every duration
+line.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 600
 TESTS_TIMEOUT_S = 3600
+SEED = 0
 
 
 def _git_head() -> str:
@@ -31,9 +33,9 @@ def _git_head() -> str:
     return proc.stdout.strip() or "unknown"
 
 
-def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_workload(workload: str, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     started = time.perf_counter()
     proc = subprocess.run(cmd, cwd=ROOT, text=True, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, timeout=RUN_TIMEOUT_S)
@@ -75,17 +77,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="file is BENCH_<label>.json")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per workload (default: BENCHMARK.json run_seconds)")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    record = {"label": args.label, "commit": _git_head(), "seed": args.seed,
+    seconds = spec["run_seconds"]
+    record = {"label": args.label, "commit": _git_head(), "seed": SEED,
               "seconds": seconds, "workloads": {}}
     for wl in (w["name"] for w in spec["workloads"]):
-        record["workloads"][wl] = [run_workload(wl, args.seed, seconds, trace)
+        record["workloads"][wl] = [run_workload(wl, seconds, trace)
                                    for trace in (0, 1)]
         print(f"{wl}: exit codes "
               f"{[r['exit_code'] for r in record['workloads'][wl]]}", flush=True)

@@ -35,11 +35,13 @@ def set_threads(n: int) -> None:
 
 
 # -- the transforms -----------------------------------------------------------
-# Every FFT in the package goes through these two functions, which act on
+# Every FFT in the package goes through these three functions, which act on
 # the last three axes of a batched array, e.g. (nt, 3, N, N, N).
 
 def _to_physical(coeffs: np.ndarray) -> np.ndarray:
-    """Real-space samples of coefficient arrays (real part only)."""
+    """Real-space samples of coefficient arrays (real part of the full
+    complex inverse).  Only `solver.nonlinear_term` still takes this path;
+    every other caller reads real samples from `_real_physical`."""
     return np.real(sfft.ifftn(coeffs, axes=(-3, -2, -1), norm="forward",
                               workers=_WORKERS))
 
@@ -50,14 +52,15 @@ def _to_spectral(phys: np.ndarray) -> np.ndarray:
 
 
 def _real_physical(half: np.ndarray, n: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """Real samples of Hermitian coefficients from their first k_z >= 0
-    planes (the k_z < 0 half of a real field mirrors them), by `irfftn`.
-    With `rows`, `half` holds only the x and y modes at those fftn rows, and
-    the inverse skips the zero lines: x over the occupied y-z lines, then y
-    over every x, then the real z pass."""
+    """Real samples of Hermitian coefficients from their first N/2 + 1
+    k_z >= 0 planes (the k_z < 0 half of a real field mirrors them, and any
+    planes past N/2 are not read), by `irfftn`.  With `rows`, `half` holds
+    only the x and y modes at those fftn rows, and the inverse skips the
+    zero lines: x over the occupied y-z lines, then y over every x, then
+    the real z pass."""
     if rows is None:
-        return sfft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward",
-                           workers=_WORKERS)
+        return sfft.irfftn(half[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
+                           norm="forward", workers=_WORKERS)
     lead, nz = half.shape[:-3], half.shape[-1]
     buf = np.zeros(lead + (n, len(rows), nz), dtype=complex)
     buf[..., rows, :, :] = half
@@ -99,8 +102,8 @@ class _Field:
 
     # -- diagnostics -----------------------------------------------------
     def physical(self) -> np.ndarray:
-        """Real-space samples, shape (..., 3, N, N, N), real part only."""
-        return _to_physical(self.coeffs)
+        """Real-space samples, shape (..., 3, N, N, N), of the real field."""
+        return _real_physical(self.coeffs, self.grid.n_points)
 
     def sup_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -148,8 +151,7 @@ class SpectralField(_Field):
         return math.sqrt(vol * float(np.sum(np.abs(self.coeffs) ** 2)))
 
     def lp(self, p: float) -> float:
-        n = self.grid.n_points
-        return lp_norm(_real_physical(self.coeffs[..., : n // 2 + 1], n), self.grid, p)
+        return lp_norm(_real_physical(self.coeffs, self.grid.n_points), self.grid, p)
 
 
 @dataclass(frozen=True)
@@ -195,18 +197,18 @@ def lp_norm(phys: np.ndarray, grid: GridSpec, p: float) -> float:
 
     Vector fields use the pointwise Euclidean magnitude, from its square m2.
     p = inf is the grid max (which underestimates the true sup between grid
-    points); an integer p takes |u|^p as products of m2 (times sqrt(m2) when
-    p is odd), and only other p take a real power.
+    points); an integer p <= 8 takes |u|^p as at most four products of m2
+    (times sqrt(m2) when p is odd), and every other p one real power.
     """
     m2 = sum(a * a for a in phys) if phys.ndim == 4 else phys * phys
     if math.isinf(p):
         return math.sqrt(float(np.max(m2)))
-    if p != int(p):
-        powered = np.sqrt(m2) ** p
-    else:
+    if p == int(p) and p <= 8:
         powered = np.sqrt(m2) if p % 2 else m2
         for _ in range(int(p - 1) // 2):
             powered = powered * m2
+    else:
+        powered = np.sqrt(m2) ** p
     return float((np.sum(powered) * grid.cell_volume) ** (1.0 / p))
 
 
@@ -252,10 +254,11 @@ def random_band_limited(
 
 
 def shell_bump(grid: GridSpec, j: int, seed: int = 0, amplitude: float = 1.0) -> SpectralField:
-    """Random field supported strictly inside shell j (and only that block).
+    """Random field supported strictly inside shell j.
 
     Modes are confined to 2^(j+1) <= |n| < 2^(j+1) * sqrt(2), where only
-    Delta_j is active (the neighbouring blocks vanish there).
+    Delta_j and Delta_(j+1) are nonzero (every other block vanishes
+    exactly); Delta_j carries most of the energy.
     """
     r = _mode_radius(grid)
     lo = 2.0 ** (j + 1)
@@ -272,11 +275,13 @@ def _mode_radius(grid: GridSpec) -> np.ndarray:
 def _random_field(grid: GridSpec, seed: int, band: np.ndarray, amplitude: float,
                   solenoidal: bool) -> SpectralField:
     """Gaussian coefficients on the band, made real (and divergence-free if
-    solenoidal), scaled to L2 norm `amplitude`."""
+    solenoidal), scaled to L2 norm `amplitude`.  The Nyquist planes stay
+    empty: there the fftn layout gives both Hermitian partners the wavenumber
+    -N/2, so the Leray projection would not keep the field real."""
     rng = np.random.default_rng(seed)
     n = grid.n_points
     c = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
-    c *= band
+    c *= band & np.all(wavevectors(grid) != -(n // 2), axis=0)
     f = hermitian_symmetrize(grid, c)
     if solenoidal:
         f = leray_project(f)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, _real_physical, _to_physical, lp_norm
+from .field import SpectralField, _real_physical, lp_norm
 from .grid import GridSpec, low_pass_multipliers, shell_index, shell_multipliers
 
 
@@ -149,7 +149,8 @@ def bernstein_ratio(u: SpectralField, j: int, p: float, q: float) -> float:
     """
     if q < p:
         raise ValueError("bernstein_ratio expects q >= p")
-    block = _to_physical(u.coeffs * shell_multipliers(u.grid)[shell_index(u.grid, j)])
+    delta = shell_multipliers(u.grid)[shell_index(u.grid, j)]
+    block = _real_physical(u.coeffs * delta, u.grid.n_points)
     denom = lp_norm(block, u.grid, p)
     if denom == 0.0:
         return 0.0

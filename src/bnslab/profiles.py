@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridError, ResolutionError
-from .field import SpectralField, Trajectory, _Field, _to_physical, dyadic_shift
+from .field import SpectralField, Trajectory, _Field, _real_physical, dyadic_shift
 from .grid import GridSpec, TWO_PI, wavevectors
 from .littlewood_paley import (BesovIndex, besov_norm, block_lp_norms,
                                critical_index, lp_decompose)
@@ -347,9 +347,10 @@ def _align_core(r: SpectralField, cand: SpectralField, m: int,
     # a periodic scaled candidate gives exactly tied correlation maxima,
     # so rounding decides which one argmax returns, and the duplicate test
     # in extract_profiles depends on that choice; the transpose transforms
-    # the last axis first, the order under which the criterion-12
-    # extraction finds its two profiles
-    corr = _to_physical(spec.T).T
+    # the last axis first, the order under which
+    # test_criterion_12_extraction_roundtrip finds its two profiles
+    # (untransposed, it finds three)
+    corr = _real_physical(spec.T, r.grid.n_points).T
     return tuple(int(i) for i in np.unravel_index(np.argmax(corr), corr.shape))
 
 

@@ -7,6 +7,7 @@ against index bookkeeping on single modes.
 """
 import math
 import operator
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def test_lp_norm_constant_field(grid):
     for p in (2.0, 3.0, 6.0):
         expected = 2.0 * math.sqrt(3.0) * grid.period ** (3.0 / p)
         assert lp_norm(phys, grid, p) == pytest.approx(expected, rel=1e-12)
+
+
+def test_lp_norm_large_integer_p(grid):
+    """An integer p above 8 takes one real power, not p/2 array products,
+    so its cost does not grow with p."""
+    phys = random_band_limited(grid, j_lo=0, j_hi=2, seed=2).physical()
+    mag = np.sqrt(np.sum(phys * phys, axis=0))
+    for p in (9.0, 100.0):
+        expected = float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+        assert lp_norm(phys, grid, p) == pytest.approx(expected, rel=1e-13)
+    start = time.perf_counter()
+    lp_norm(phys, grid, 1e7)  # by products: 5e6 passes over the array
+    assert time.perf_counter() - start < 1.0
 
 
 def test_l2_parseval(grid):

@@ -94,13 +94,13 @@ def test_bernstein_ratio_bounded(grid):
 def test_bernstein_ratio_transforms_one_block_once(grid, monkeypatch):
     calls = []
 
-    def counting(c, _to_physical=littlewood_paley._to_physical):
+    def counting(c, *args, _real_physical=littlewood_paley._real_physical):
         calls.append(c.shape)
-        return _to_physical(c)
+        return _real_physical(c, *args)
 
     u = random_band_limited(grid, j_lo=0, j_hi=3, seed=14)
     expected = bernstein_ratio(u, 1, 2.0, 6.0)
-    monkeypatch.setattr(littlewood_paley, "_to_physical", counting)
+    monkeypatch.setattr(littlewood_paley, "_real_physical", counting)
     assert bernstein_ratio(u, 1, 2.0, 6.0) == expected
     assert len(calls) == 1
 
@@ -160,14 +160,18 @@ def _full_spectrum(grid, seed):
 def test_block_engine_matches_full_transform(grid):
     """Half spectrum, pruned passes, product powers and Parseval at p = 2
     agree with the full complex inverse of every block to 1e-14, and a
-    block that is zero comes out exactly 0."""
+    block that is zero comes out exactly 0.  The top-shell bump is
+    Leray-projected data at the grid's corners, which must stay real."""
     u = _full_spectrum(grid, seed=21)
     bump = shell_bump(grid, grid.j_min + 1, seed=22)  # the far shells are exactly 0
-    traj = Trajectory(grid, np.array([0.0, 0.5, 1.0]),
-                      np.stack([u.coeffs, bump.coeffs, np.zeros_like(u.coeffs)]))
+    top = shell_bump(grid, grid.j_max, seed=24)
+    assert top.hermitian_defect() < 1e-15 and top.divergence_defect() < 1e-14
+    traj = Trajectory(grid, np.array([0.0, 0.5, 0.75, 1.0]),
+                      np.stack([u.coeffs, bump.coeffs, top.coeffs,
+                                np.zeros_like(u.coeffs)]))
     for p in (2.0, 3.0, 4.0, 6.0, 2.5, math.inf):
         got, ref = block_lp_norms(traj, p), _reference_block_norms(traj, p)
-        assert np.all(ref[0] > 0.0) and np.all(ref[2] == 0.0)
+        assert np.all(ref[0] > 0.0) and np.all(ref[3] == 0.0)
         assert np.array_equal(got == 0.0, ref == 0.0), p
         nonzero = ref > 0.0
         assert np.max(np.abs(got - ref)[nonzero] / ref[nonzero]) < 1e-14, p
