@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .errors import InversionError
-from .field import SpectralField, Trajectory
+from .field import SpectralField, Trajectory, _from_box
 from .littlewood_paley import critical_index
 from .solver import SolverConfig, bilinear_B, heat_trajectory, picard_solve
 from .spacetime import _spatial_lp, _time_norms, script_norm
@@ -119,6 +119,7 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
     """
     v = handle.drift
     nt = z.n_times
+    scale = max(float(np.max(np.abs(z.coeffs))), 1e-300)
     n_slabs = 1
     while True:
         w = replace(z, coeffs=z.coeffs.copy())
@@ -132,7 +133,6 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
             for _ in range(_INVERSION_ITERS):
                 w_full = z + 2.0 * bilinear_B(v, w)
                 delta = float(np.max(np.abs(w_full.coeffs[:hi] - w.coeffs[:hi])))
-                scale = max(float(np.max(np.abs(z.coeffs))), 1e-300)
                 w.coeffs[lo:hi] = w_full.coeffs[lo:hi]
                 if delta / scale < _INVERSION_TOL:
                     break
@@ -146,8 +146,7 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
                 break
         if ok:
             res = apply_L(handle, w) - z
-            rel = float(np.max(np.abs(res.coeffs))) / max(
-                float(np.max(np.abs(z.coeffs))), 1e-300)
+            rel = float(np.max(np.abs(res.coeffs))) / scale
             if rel < 100 * _INVERSION_TOL:
                 return w
         if n_slabs >= min(nt, 64):
@@ -169,7 +168,7 @@ def heat_drift_defect(handle: OperatorHandle, z: Trajectory) -> float:
 
     w = invert_K(handle, z)
     k2 = wavenumber_sq(z.grid)
-    g = nonlinear_term(handle.drift, w)
+    g = _from_box(z.grid.n_points, nonlinear_term(handle.drift, w))
 
     def heat_op(traj: Trajectory, extra=None):
         c = traj.coeffs

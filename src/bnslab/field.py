@@ -35,20 +35,40 @@ def set_threads(n: int) -> None:
 
 
 # -- the transforms -----------------------------------------------------------
-# Every FFT in the package goes through these three functions, which act on
-# the last three axes of a batched array, e.g. (nt, 3, N, N, N).
-
-def _to_physical(coeffs: np.ndarray) -> np.ndarray:
-    """Real-space samples of coefficient arrays (real part of the full
-    complex inverse).  Only `solver.nonlinear_term` still takes this path;
-    every other caller reads real samples from `_real_physical`."""
-    return np.real(sfft.ifftn(coeffs, axes=(-3, -2, -1), norm="forward",
-                              workers=_WORKERS))
-
+# Every FFT in the package goes through `_to_spectral`, `_real_physical` and
+# `_box_spectral`, on the last three axes of a batched array (nt, 3, N, N, N).
 
 def _to_spectral(phys: np.ndarray) -> np.ndarray:
     """Coefficients of real-space sample arrays."""
     return sfft.fftn(phys, axes=(-3, -2, -1), norm="forward", workers=_WORKERS)
+
+
+def _box_spectral(phys: np.ndarray, k: int) -> np.ndarray:
+    """Coefficients of real samples on the dealiased box of `grid.dealias_box`
+    in three pruned passes: the real z transform keeping k + 1 planes, y over
+    those keeping 2k + 1 lines, then x over those keeping 2k + 1 rows."""
+    zs = sfft.rfftn(phys, axes=(-1,), norm="forward", workers=_WORKERS)[..., : k + 1]
+    ys = sfft.fftn(zs, axes=(-2,), norm="forward", workers=_WORKERS)
+    ys = np.concatenate((ys[..., : k + 1, :], ys[..., -k:, :]), axis=-2)
+    xs = sfft.fftn(ys, axes=(-3,), norm="forward", workers=_WORKERS, overwrite_x=True)
+    return np.concatenate((xs[..., : k + 1, :, :], xs[..., -k:, :, :]), axis=-3)
+
+
+def _from_box(n: int, box: np.ndarray) -> np.ndarray:
+    """Full fftn-layout coefficients, (..., N, N, N), of a real field held on
+    the dealiased box: the k_z = 0 plane is made exactly Hermitian, and the
+    k_z < 0 half is the conjugate mirror of the k_z > 0 half."""
+    k = box.shape[-1] - 1
+    mirror = np.conj(np.roll(box[..., ::-1, ::-1, :0:-1], 1, axis=(-3, -2)))
+    out = np.zeros(box.shape[:-3] + (n, n, n), dtype=complex)
+    halves = ((slice(0, k + 1), slice(0, k + 1)), (slice(n - k, n), slice(k + 1, None)))
+    for tx, bx in halves:
+        for ty, by in halves:
+            out[..., tx, ty, : k + 1] = box[..., bx, by, :]
+            out[..., tx, ty, n - k :] = mirror[..., bx, by, :]
+    plane = out[..., 0]
+    out[..., 0] = 0.5 * (plane + np.conj(np.roll(plane[..., ::-1, ::-1], 1, axis=(-2, -1))))
+    return out
 
 
 def _real_physical(half: np.ndarray, n: int, rows: np.ndarray | None = None) -> np.ndarray:
@@ -275,13 +295,12 @@ def _mode_radius(grid: GridSpec) -> np.ndarray:
 def _random_field(grid: GridSpec, seed: int, band: np.ndarray, amplitude: float,
                   solenoidal: bool) -> SpectralField:
     """Gaussian coefficients on the band, made real (and divergence-free if
-    solenoidal), scaled to L2 norm `amplitude`.  The Nyquist planes stay
-    empty: there the fftn layout gives both Hermitian partners the wavenumber
-    -N/2, so the Leray projection would not keep the field real."""
+    solenoidal), scaled to L2 norm `amplitude`.  A solenoidal field leaves
+    the Nyquist planes empty, as `leray_project` does."""
     rng = np.random.default_rng(seed)
     n = grid.n_points
     c = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
-    c *= band & np.all(wavevectors(grid) != -(n // 2), axis=0)
+    c *= band
     f = hermitian_symmetrize(grid, c)
     if solenoidal:
         f = leray_project(f)
@@ -319,19 +338,24 @@ def taylor_green_like(grid: GridSpec, amplitude: float = 1.0, j: int = 1) -> Spe
 # (..., 3, N, N, N), and returns the type of its input.
 
 def leray_project(u: _Field) -> _Field:
-    """Remove the gradient part: c(k) -> c(k) - k (k.c(k)) / |k|^2."""
+    """Remove the gradient part: c(k) -> c(k) - k (k.c(k)) / |k|^2.  Modes with
+    some n_i = -N/2 come back empty: the fftn layout gives both Hermitian
+    partners there the wavenumber -N/2, so projecting them breaks reality."""
     c = u.coeffs.copy()
-    _project(u.grid, c)
+    _project(wavevectors(u.grid), c)
+    h = u.grid.n_points // 2
+    c[..., h, :, :] = c[..., h, :] = c[..., h] = 0.0
     return replace(u, coeffs=c)
 
 
-def _project(grid: GridSpec, c: np.ndarray) -> None:
-    """Leray projection in place on a (..., 3, N, N, N) coefficient array.
+def _project(nn: np.ndarray, c: np.ndarray) -> None:
+    """Leray projection in place on a (..., 3, *S) coefficient array whose
+    modes have the integer wavevectors nn (3, *S), e.g. the dealiased box.
 
     Works one component at a time, so no temporary is larger than one
     component; the k = 0 coefficient is left unchanged (its k factor is 0).
     """
-    k = wavevectors(grid).astype(float)
+    k = nn.astype(float)
     k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
     dot = k[0] * c[..., 0, :, :, :]
     dot += k[1] * c[..., 1, :, :, :]

@@ -117,6 +117,18 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
+def dealias_box(grid: GridSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """K, then the integer wavevectors, |k|^2 and 2/3-rule mask on the box
+    |n_x|, |n_y| <= K, 0 <= n_z <= K, where K is the largest |n_i| the mask
+    keeps; shaped (2K+1, 2K+1, K+1), x and y in fftn order [0..K, -K..-1]."""
+    mask = dealias_mask(grid)
+    k = int(np.max(np.abs(wavevectors(grid)[0][mask])))
+    rows = np.r_[0 : k + 1, grid.n_points - k : grid.n_points]
+    box = np.ix_(rows, rows, np.arange(k + 1))
+    return k, wavevectors(grid)[(slice(None),) + box], wavenumber_sq(grid)[box], mask[box]
+
+
+@functools.lru_cache(maxsize=32)
 def low_pass_multipliers(grid: GridSpec) -> np.ndarray:
     """S_j multipliers for j in [j_min, j_max+1], shape (n_shells+1, N, N, N).
 

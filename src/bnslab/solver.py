@@ -5,6 +5,10 @@ Time integrals against the heat kernel use an exponential-integrator
 trapezoid: over each step the nonlinearity is interpolated linearly and
 integrated against e^{(t-s)|k|^2} exactly per mode, so the only error is
 quadrature of the nonlinearity, never stiffness of the kernel.
+
+B runs on the dealiased box of `grid.dealias_box`: a dealiased product of
+real fields has no mode outside it, and its k_z < 0 half mirrors the rest.
+B's output is expanded to the full fftn layout once, as a `Trajectory`.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridError
-from .field import (SpectralField, Trajectory, _project, _to_physical,
-                    _to_spectral)
-from .grid import GridSpec, TWO_PI, dealias_mask, wavenumber_sq, wavevectors
+from .field import (SpectralField, Trajectory, _box_spectral, _from_box, _project,
+                    _real_physical, leray_project)
+from .grid import TWO_PI, dealias_box, wavenumber_sq
 from .littlewood_paley import BesovIndex, besov_from_blocks, critical_index
 from .spacetime import _script_prefix, block_norm_matrix, script_norm
 
@@ -81,29 +85,31 @@ def heat_trajectory(u0: SpectralField, times) -> Trajectory:
 
 
 def nonlinear_term(u: Trajectory, v: Trajectory) -> np.ndarray:
-    """g(t) = P grad.(u (x)_sigma v)(t) for all sampled times, as coefficients.
+    """g(t) = P grad.(u (x)_sigma v)(t) for all sampled times, as coefficients
+    on the dealiased box |n_x|, |n_y| <= K, 0 <= n_z <= K, (nt, 3, 2K+1, 2K+1, K+1).
 
     The symmetrized tensor product is formed pointwise in physical space
-    and dealiased by the spherical 2/3 rule before differentiation.
+    and dealiased by the spherical 2/3 rule (|n| < N/3, so |n_i| <= K) before
+    differentiation; the k_z < 0 half of the real product mirrors the box.
     """
     if u.grid != v.grid:
         raise GridError("trajectories live on different grids")
     grid = u.grid
-    nt = u.n_times
     n = grid.n_points
-    up = _to_physical(u.coeffs)
-    vp = up if v is u else _to_physical(v.coeffs)
-    mask = dealias_mask(grid)
-    k = wavevectors(grid).astype(float) * (TWO_PI / grid.period)
-    g = np.zeros((nt, 3, n, n, n), dtype=np.complex128)
+    K, nn, _, mask = dealias_box(grid)
+    up = _real_physical(u.coeffs, n)
+    vp = up if v is u else _real_physical(v.coeffs, n)
+    k = nn * (TWO_PI / grid.period)
+    g = np.zeros((u.n_times, 3) + mask.shape, dtype=np.complex128)
     for a in range(3):
         for b in range(a, 3):
-            tab = 0.5 * (up[:, a] * vp[:, b] + vp[:, a] * up[:, b])
-            that = _to_spectral(tab) * mask
+            tab = (up[:, a] * up[:, b] if v is u
+                   else 0.5 * (up[:, a] * vp[:, b] + vp[:, a] * up[:, b]))
+            that = _box_spectral(tab, K) * mask
             g[:, a] += 1j * k[b] * that
             if b != a:
                 g[:, b] += 1j * k[a] * that
-    _project(grid, g)
+    _project(nn, g)
     return g
 
 
@@ -125,12 +131,12 @@ def _etd_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return E, c_lo, c_hi
 
 
-def duhamel_integral(grid: GridSpec, times: np.ndarray, g: np.ndarray,
+def duhamel_integral(k2: np.ndarray, times: np.ndarray, g: np.ndarray,
                      sign: float = 1.0) -> np.ndarray:
-    """t -> sign * int_0^t e^{(t-s) Laplacian} g(s) ds on the sampling grid."""
+    """t -> sign * int_0^t e^{(t-s) Laplacian} g(s) ds on the sampling grid,
+    for coefficients g on any layout whose modes have |k|^2 = k2."""
     nt = len(times)
     out = np.zeros_like(g)
-    k2 = wavenumber_sq(grid)
     for i in range(nt - 1):
         dt = float(times[i + 1] - times[i])
         E, c_lo, c_hi = _etd_weights(k2 * dt)
@@ -140,19 +146,17 @@ def duhamel_integral(grid: GridSpec, times: np.ndarray, g: np.ndarray,
 
 def bilinear_B(u: Trajectory, v: Trajectory) -> Trajectory:
     """B(u,v)(t) = -int_0^t e^{(t-t')Laplacian} P grad.(u (x)_sigma v) dt'."""
-    g = nonlinear_term(u, v)
-    coeffs = duhamel_integral(u.grid, u.times, g, sign=-1.0)
-    return Trajectory(u.grid, u.times, coeffs)
+    k2 = dealias_box(u.grid)[2]
+    box = duhamel_integral(k2, u.times, nonlinear_term(u, v), sign=-1.0)
+    return Trajectory(u.grid, u.times, _from_box(u.grid.n_points, box))
 
 
 def forcing_integral(f: Trajectory) -> Trajectory:
     """H(f)(t) = int_0^t e^{(t-s)Laplacian} P f(s) ds (Leray applied per time)."""
-    grid = f.grid
-    g = f.coeffs.copy()
-    _project(grid, g)
+    g = leray_project(f).coeffs
     g[:, :, 0, 0, 0] = 0.0
-    coeffs = duhamel_integral(grid, f.times, g, sign=1.0)
-    return Trajectory(grid, f.times, coeffs)
+    coeffs = duhamel_integral(wavenumber_sq(f.grid), f.times, g, sign=1.0)
+    return Trajectory(f.grid, f.times, coeffs)
 
 
 # -- Picard solver -----------------------------------------------------------

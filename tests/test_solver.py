@@ -9,14 +9,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from bnslab.field import (SpectralField, dealias, heat_flow, random_band_limited,
-                          single_mode)
-from bnslab.grid import GridSpec
+from bnslab.field import (SpectralField, _from_box, dealias, heat_flow,
+                          hermitian_symmetrize, leray_project, random_band_limited,
+                          shell_bump, single_mode)
+from bnslab.grid import GridSpec, dealias_mask, wavenumber_sq, wavevectors
 from bnslab.littlewood_paley import besov_norm, critical_index
-from bnslab.solver import (SolverConfig, bilinear_B, energy_balance_defect,
-                           heat_trajectory, monitor, nonlinear_term,
-                           picard_solve, solve_perturbed)
+from bnslab.solver import (SolverConfig, _etd_weights, bilinear_B,
+                           energy_balance_defect, forcing_integral, heat_trajectory,
+                           monitor, nonlinear_term, picard_solve, solve_perturbed)
 from bnslab.spacetime import constant_trajectory, rescale_trajectory, script_norm
 
 
@@ -39,9 +41,76 @@ def test_nonlinear_term_skewsymmetric_trace(grid):
     # divergence-free u: <u, div(u x u)> = 0
     ud = dealias(random_band_limited(grid, j_lo=0, j_hi=2, seed=17, amplitude=1.0))
     traj = constant_trajectory(ud, [0.0])
-    f = SpectralField(grid, nonlinear_term(traj, traj)[0])
+    f = SpectralField(grid, _from_box(grid.n_points, nonlinear_term(traj, traj))[0])
     inner = np.sum(np.conj(ud.coeffs) * f.coeffs).real * grid.period ** 3
     assert abs(inner) < 1e-10 * max(ud.l2() * f.l2(), 1.0)
+
+
+def _full_layout_B(u, v):
+    """The nonlinear term and B(u, v) on the full fftn layout: real part of
+    the complex inverse, products, complex forward transform, 2/3 mask, ik,
+    Leray, then the exponential trapezoid over every mode."""
+    grid = u.grid
+    up = np.real(scipy.fft.ifftn(u.coeffs, axes=(-3, -2, -1), norm="forward"))
+    vp = np.real(scipy.fft.ifftn(v.coeffs, axes=(-3, -2, -1), norm="forward"))
+    nn = wavevectors(grid).astype(float)
+    k = nn * (2.0 * math.pi / grid.period)
+    g = np.zeros(u.coeffs.shape, dtype=complex)
+    for a in range(3):
+        for b in range(a, 3):
+            tab = 0.5 * (up[:, a] * vp[:, b] + vp[:, a] * up[:, b])
+            that = scipy.fft.fftn(tab, axes=(-3, -2, -1), norm="forward")
+            that *= dealias_mask(grid)
+            g[:, a] += 1j * k[b] * that
+            if b != a:
+                g[:, b] += 1j * k[a] * that
+    k2 = np.sum(nn * nn, axis=0)
+    dot = np.sum(nn * g, axis=1) / np.where(k2 == 0.0, 1.0, k2)
+    g -= nn * dot[:, None]
+    out = np.zeros_like(g)
+    for i in range(u.n_times - 1):
+        dt = float(u.times[i + 1] - u.times[i])
+        E, c_lo, c_hi = _etd_weights(wavenumber_sq(grid) * dt)
+        out[i + 1] = E * out[i] + dt * (c_lo * g[i] + c_hi * g[i + 1])
+    return g, -out
+
+
+@pytest.mark.parametrize("n,period", [(32, 2.0 * math.pi), (64, 2.0 * math.pi),
+                                      (32, 1.0)])
+@pytest.mark.parametrize("same", [True, False])
+def test_box_path_matches_full_layout(n, period, same):
+    # inputs reach past the 2/3 sphere, so the products alias onto every mode
+    grid = GridSpec(n, period=period)
+    times = np.array([0.0, 0.004, 0.01, 0.011])
+
+    def datum(seed):
+        u0 = (random_band_limited(grid, j_lo=0, j_hi=grid.j_max - 1, seed=seed)
+              + 0.3 * shell_bump(grid, grid.j_max, seed=seed + 1))
+        return heat_trajectory(u0, times)
+
+    u = datum(60)
+    v = u if same else datum(62)
+    g_ref, b_ref = _full_layout_B(u, v)
+    g = _from_box(n, nonlinear_term(u, v))
+    b = bilinear_B(u, v)
+    assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
+    assert np.max(np.abs(b.coeffs - b_ref)) <= 1e-14 * np.max(np.abs(b_ref))
+    assert b.hermitian_defect() == 0.0
+    assert np.all(b.coeffs[..., ~dealias_mask(grid)] == 0.0)
+
+
+def test_projection_keeps_nyquist_content_real(grid):
+    # on a Nyquist plane both Hermitian partners sit at -N/2 in the fftn
+    # layout; projecting them there would make the field non-real
+    shape = (3,) + (grid.n_points,) * 3
+    rng = np.random.default_rng(51)
+    u = hermitian_symmetrize(grid, rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
+    assert np.max(np.abs(u.coeffs[:, grid.n_points // 2])) > 0.0
+    forced = forcing_integral(constant_trajectory(u, [0.0, 0.01]))
+    for f in (leray_project(u), forced):
+        assert f.hermitian_defect() < 1e-15
+        assert f.divergence_defect() < 1e-14
 
 
 def test_bilinear_B_zero_on_zero(grid):

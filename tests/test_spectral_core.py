@@ -10,6 +10,7 @@ trajectories share one arithmetic with no operator applied per snapshot,
 and that solenoidality and dealiasing are not switches.
 """
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,14 @@ import scipy.fft
 from bnslab.field import random_band_limited, set_threads
 from bnslab.grid import GridSpec
 from bnslab.profiles import _align_core
-from bnslab.solver import heat_trajectory, nonlinear_term
+from bnslab.solver import bilinear_B, heat_trajectory, nonlinear_term
 from bnslab.spacetime import block_norm_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bnslab"
 TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn"}
+# a transform costs this many flops per input point and log2 of its
+# transformed length, as the benchmark's tracer counts them
+FLOPS_PER_POINT = {"fftn": 5.0, "ifftn": 5.0, "rfftn": 2.5, "irfftn": 2.5}
 
 
 def test_set_threads_caps_every_transform(monkeypatch):
@@ -70,6 +74,28 @@ def test_block_norm_matrix_transforms_pruned_work(monkeypatch):
     block_norm_matrix(traj, 3.0)
     full = 17 * grid.n_shells * 3 * grid.n_points**3
     assert sum(points) <= 0.45 * full, sum(points) / full
+
+
+def test_bilinear_B_transforms_the_dealiased_box(monkeypatch):
+    """One 64^3, 17-level B(u, u) costs its transforms at most 0.4 of the
+    full layout's one complex inverse and six complex forward transforms:
+    the inverse is real, and the forward passes keep only the box of modes
+    the 2/3 rule keeps."""
+    flops = []
+    for name, per_point in FLOPS_PER_POINT.items():
+        def recording(x, *args, _fn=getattr(scipy.fft, name), _c=per_point, **kwargs):
+            x = np.asarray(x)
+            length = math.prod(x.shape[a] for a in kwargs.get("axes", range(x.ndim)))
+            flops.append(_c * x.size * math.log2(length))
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, recording)
+    grid = GridSpec(64)
+    u = random_band_limited(grid, j_lo=0, j_hi=3, seed=6)
+    traj = heat_trajectory(u, np.linspace(0.0, 0.05, 17))
+    flops.clear()
+    bilinear_B(traj, traj)
+    full = 5.0 * 17 * (3 + 6) * grid.n_points**3 * math.log2(grid.n_points**3)
+    assert sum(flops) <= 0.4 * full, sum(flops) / full
 
 
 def _core_violations(path: Path) -> list[str]:
