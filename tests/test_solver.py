@@ -2,7 +2,8 @@
 
 Oracles: heat trajectories against the exact symbol; the Duhamel
 bilinear term against a fine-grid quadrature of the exact integrand on
-a single low mode; equivariance against the exact rescaling of a
+a single low mode, and its dealiased-box path against the full-layout
+formula kept in this file; equivariance against the exact rescaling of a
 converged solution; energy balance against the L^2 identity.
 """
 import math
