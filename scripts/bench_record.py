@@ -8,7 +8,9 @@ at seed 0 for BENCHMARK.json's run_seconds, at --trace 0 and at --trace 1,
 one run at a time, and keeps each run's printed metric lines, its final
 JSON result line and its environment record.  It then runs the tier-1
 suite with --durations=0 and keeps the summary line and every duration
-line.  Standard library only.
+line.  It exits 2 before running anything when `git rev-parse HEAD` cannot
+name the checked-out commit (e.g. in a `git archive` copy).  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -28,9 +30,16 @@ SEED = 0
 
 
 def _git_head() -> str:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, text=True,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return proc.stdout.strip() or "unknown"
+    """The checked-out commit; RuntimeError when git cannot name it (e.g. in a
+    checkout without .git), since a record must say what it measured."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    except OSError as exc:
+        raise RuntimeError(f"cannot run git: {exc}") from exc
+    if proc.returncode != 0 or not proc.stdout.strip():
+        raise RuntimeError(f"git rev-parse HEAD failed in {ROOT}: {proc.stderr.strip()}")
+    return proc.stdout.strip()
 
 
 def run_workload(workload: str, seconds: float, trace: int) -> dict:
@@ -79,9 +88,14 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="file is BENCH_<label>.json")
     args = ap.parse_args(argv)
 
+    try:
+        commit = _git_head()
+    except RuntimeError as exc:
+        print(f"bench_record: {exc}", file=sys.stderr)
+        return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    record = {"label": args.label, "commit": _git_head(), "seed": SEED,
+    record = {"label": args.label, "commit": commit, "seed": SEED,
               "seconds": seconds, "workloads": {}}
     for wl in (w["name"] for w in spec["workloads"]):
         record["workloads"][wl] = [run_workload(wl, seconds, trace)

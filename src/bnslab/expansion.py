@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import InversionError
 from .field import SpectralField, Trajectory, _from_box
+from .grid import wavenumber_sq
 from .littlewood_paley import critical_index
-from .solver import SolverConfig, bilinear_B, heat_trajectory, picard_solve
+from .solver import SolverConfig, bilinear_B, heat_trajectory, nonlinear_term, picard_solve
 from .spacetime import _spatial_lp, _time_norms, script_norm
 
 
@@ -163,9 +164,6 @@ def heat_drift_defect(handle: OperatorHandle, z: Trajectory) -> float:
     differences on the trajectory grid, compared in the max coefficient
     norm over interior times.
     """
-    from .grid import wavenumber_sq
-    from .solver import nonlinear_term
-
     w = invert_K(handle, z)
     k2 = wavenumber_sq(z.grid)
     g = _from_box(z.grid.n_points, nonlinear_term(handle.drift, w))

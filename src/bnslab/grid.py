@@ -123,9 +123,14 @@ def dealias_box(grid: GridSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray
     keeps; shaped (2K+1, 2K+1, K+1), x and y in fftn order [0..K, -K..-1]."""
     mask = dealias_mask(grid)
     k = int(np.max(np.abs(wavevectors(grid)[0][mask])))
-    rows = np.r_[0 : k + 1, grid.n_points - k : grid.n_points]
-    box = np.ix_(rows, rows, np.arange(k + 1))
+    box, _ = _support_box(grid.n_points, k)
     return k, wavevectors(grid)[(slice(None),) + box], wavenumber_sq(grid)[box], mask[box]
+
+
+def _support_box(n: int, k: int) -> tuple[tuple, np.ndarray]:
+    """Index of the modes |n_x|, |n_y| <= k, 0 <= n_z <= k, and their fftn rows."""
+    rows = np.r_[0 : k + 1, n - k : n]
+    return np.ix_(rows, rows, np.arange(k + 1)), rows
 
 
 @functools.lru_cache(maxsize=32)

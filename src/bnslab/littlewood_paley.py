@@ -1,8 +1,9 @@
 """Littlewood-Paley blocks and homogeneous Besov norms.
 
-A block set carries Delta_j u for the grid's resolved shells, plus the two
-trimmed tails S_{j_min} u and (Id - S_{j_max+1}) u so that reconstruction
-is exact by telescoping.
+`_blocks` is the one source of block samples, one block at a time and on
+request with the trimmed tails S_{j_min} u and (Id - S_{j_max+1}) u that
+make the blocks telescope to u; the engine, the Bony split and the cross
+terms read it.  `LPBlockSet` remains only for the reconstruction check.
 
 `block_lp_norms` is the one block-norm engine behind every Besov,
 Chemin-Lerner, script and Kato norm.  It never forms a full complex block,
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import GridError
 from .field import SpectralField, _real_physical, lp_norm
-from .grid import GridSpec, low_pass_multipliers, shell_index, shell_multipliers
+from .grid import GridSpec, _support_box, low_pass_multipliers, shell_index, shell_multipliers
 
 
 @dataclass(frozen=True)
@@ -54,65 +55,74 @@ class LPBlockSet:
     low_tail: SpectralField  # S_{j_min} u
     high_tail: SpectralField  # (Id - S_{j_max+1}) u
 
-    def reconstruct(self) -> SpectralField:
-        total = self.low_tail + self.high_tail
-        for b in self.blocks:
-            total = total + b
-        return total
-
     def reconstruction_defect(self, u: SpectralField) -> float:
-        diff = self.reconstruct() - u
+        diff = sum(self.blocks, self.low_tail + self.high_tail) - u
         top = u.sup_coeff()
         return diff.sup_coeff() / top if top > 0 else diff.sup_coeff()
 
 
 def lp_decompose(u: SpectralField) -> LPBlockSet:
-    grid = u.grid
-    deltas = shell_multipliers(grid)
+    """Full complex copies of every block and both tails."""
+    low, *blocks, high = (replace(u, coeffs=u.coeffs * m) for m in _multipliers(u.grid, True))
+    return LPBlockSet(u.grid, tuple(blocks), low, high)
+
+
+def _multipliers(grid: GridSpec, tails: bool):
+    """Delta_{j_min..j_max}; with `tails`, S_{j_min} first and Id - S_{j_max+1} last."""
+    if not tails:
+        return shell_multipliers(grid)
     lows = low_pass_multipliers(grid)
-    blocks = tuple(replace(u, coeffs=u.coeffs * deltas[i])
-                   for i in range(grid.n_shells))
-    low_tail = replace(u, coeffs=u.coeffs * lows[0])
-    high_tail = replace(u, coeffs=u.coeffs * (1.0 - lows[-1]))
-    return LPBlockSet(grid, blocks, low_tail, high_tail)
+    return (lows[0], *shell_multipliers(grid), 1.0 - lows[-1])
 
 
 @functools.lru_cache(maxsize=8)
-def _shell_plans(grid: GridSpec) -> tuple:
-    """Per resolved shell: the index of the k_z >= 0 modes it can occupy and
-    their x and y fftn rows (None when the shell is too wide to prune)."""
+def _block_plans(grid: GridSpec) -> tuple:
+    """Per multiplier of `_multipliers(grid, True)`, the index of the k_z >= 0
+    modes it can occupy and their x and y fftn rows (None when too wide to
+    prune); index data only, so clearing the grid caches frees every multiplier."""
     n = grid.n_points
     freqs = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)
     plans = []
-    for delta in shell_multipliers(grid):
+    for m in _multipliers(grid, True):
         # radial multiplier: its extent K along x is its extent on every axis
-        k = int(np.max(freqs[np.any(delta != 0, axis=(1, 2))], initial=0))
+        k = int(np.max(freqs[np.any(m != 0, axis=(1, 2))], initial=0))
         if 2 * (2 * k + 1) <= n:
-            rows = np.r_[0:k + 1, n - k:n]
-            plans.append((np.ix_(rows, rows, np.arange(k + 1)), rows))
+            plans.append(_support_box(n, k))
         else:
             plans.append(((slice(None), slice(None), slice(n // 2 + 1)), None))
     return tuple(plans)
 
 
+def _blocks(c: np.ndarray, grid: GridSpec, tails: bool = False):
+    """Real samples of Delta_j u for the resolved shells of the real field
+    with coefficients c (3, N, N, N); with `tails`, S_{j_min} u comes first
+    and (Id - S_{j_max+1}) u last (see the module docstring)."""
+    plans = _block_plans(grid)
+    for m, (box, rows) in zip(_multipliers(grid, tails), plans if tails else plans[1:-1]):
+        yield _real_physical(c[(Ellipsis,) + box] * m[box], grid.n_points, rows)
+
+
+def _block_energies(c: np.ndarray, grid: GridSpec):
+    """Per resolved shell delta_j^2 sum_a |c_a|^2, whose sum is ||Delta_j u||_2^2 / vol."""
+    energy = np.sum(np.abs(c) ** 2, axis=0)
+    for d in shell_multipliers(grid):
+        yield d * d * energy
+
+
 def block_lp_norms(u, p: float) -> np.ndarray:
     """||Delta_j u||_{L^p} for the resolved shells, shaped coeffs.shape[:-4]
     + (n_shells,) for any real u with a `.grid` and `.coeffs` (..., 3, N,
-    N, N), e.g. a field or a trajectory.  One block is transformed at a
-    time, from its half spectrum and only over the lines it occupies; p = 2
+    N, N), e.g. a field or a trajectory.  Blocks come from `_blocks`; p = 2
     takes Parseval sums instead (see the module docstring)."""
-    grid, n = u.grid, u.grid.n_points
-    deltas, plans = shell_multipliers(grid), _shell_plans(grid)
-    out = np.empty(u.coeffs.shape[:-4] + (len(plans),))
+    grid = u.grid
+    norm = functools.partial(lp_norm, grid=grid, p=p)  # map drops each block once normed
+    out = np.empty(u.coeffs.shape[:-4] + (grid.n_shells,))
     for i in np.ndindex(out.shape[:-1]):
-        c = u.coeffs[i]
         if p == 2.0:
-            energy = np.sum(np.abs(c) ** 2, axis=0)
-            out[i] = [math.sqrt(grid.period**3 * float(np.sum(d * d * energy)))
-                      for d in deltas]
+            out[i] = [math.sqrt(grid.period**3 * float(np.sum(w)))
+                      for w in _block_energies(u.coeffs[i], grid)]
         else:
-            out[i] = [lp_norm(_real_physical(c[(Ellipsis,) + box] * d[box], n, rows),
-                              grid, p) for d, (box, rows) in zip(deltas, plans)]
+            out[i] = list(map(norm, _blocks(u.coeffs[i], grid)))
     return out
 
 

@@ -3,10 +3,10 @@
 The product of two fields splits as fg = T_f g + T_g f + R(f, g), where
 T_f g collects interactions of low frequencies of f against high
 frequencies of g and R keeps the nearly-diagonal pairs.  We build the
-split from the extended block list (resolved shells plus the two trimmed
-tails), so the three pieces partition all block pairs and reconstruction
-is exact by telescoping: pairs with j' <= j - 2 go to T_f g, pairs with
-j <= j' - 2 to T_g f, and |j - j'| <= 1 to R.
+split from `littlewood_paley._blocks` with the two trimmed tails, so the
+three pieces partition all block pairs and reconstruction is exact by
+telescoping: pairs with j' <= j - 2 go to T_f g, pairs with j <= j' - 2 to
+T_g f, and |j - j'| <= 1 to R.  The heat decay fits take Parseval sums.
 
 Products are formed pointwise per component: for vector fields the
 "product" here is the componentwise array f_c g_c, which is what the
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, Trajectory, dealias, from_physical
-from .grid import TWO_PI, wavevectors
-from .littlewood_paley import BesovIndex, besov_norm, lp_decompose
+from .field import SpectralField, Trajectory, dealias, from_physical, heat_flow
+from .grid import TWO_PI, wavenumber_sq, wavevectors
+from .littlewood_paley import BesovIndex, _block_energies, _blocks, besov_norm
 from .solver import bilinear_B
 from .spacetime import kato_norm
 
@@ -45,24 +45,13 @@ class BonyTriple:
         return self.low_high + self.high_low + self.high_high
 
 
-def _extended_blocks_physical(u: SpectralField) -> list[np.ndarray]:
-    """Physical-space blocks [low tail, Delta_{j_min..j_max}, high tail]."""
-    bs = lp_decompose(u)
-    out = [bs.low_tail.physical()]
-    out.extend(b.physical() for b in bs.blocks)
-    out.append(bs.high_tail.physical())
-    return out
-
-
 def bony_decompose(f: SpectralField, g: SpectralField) -> BonyTriple:
     """Split the pointwise product fg into T_f g + T_g f + R(f, g), each
     piece dealiased."""
     if f.grid != g.grid:
         raise GridError("bony_decompose needs a shared grid")
     grid = f.grid
-    fb = _extended_blocks_physical(f)
-    gb = _extended_blocks_physical(g)
-    nb = len(fb)
+    fb = list(_blocks(f.coeffs, grid, tails=True))
     # extended positions: the trimmed tails sit two rungs past the resolved
     # range, so a pure low tail (e.g. a constant) pairs into T against every
     # block rather than into the diagonal part
@@ -70,10 +59,10 @@ def bony_decompose(f: SpectralField, g: SpectralField) -> BonyTriple:
     t_fg = np.zeros_like(fb[0])
     t_gf = np.zeros_like(fb[0])
     rem = np.zeros_like(fb[0])
-    for i in range(nb):
-        for ip in range(nb):
-            d = pos[ip] - pos[i]
-            piece = fb[ip] * gb[i]
+    for pos_g, gblk in zip(pos, _blocks(g.coeffs, grid, tails=True)):
+        for pos_f, fblk in zip(pos, fb):
+            d = pos_f - pos_g
+            piece = fblk * gblk
             if d <= -2:
                 t_fg += piece
             elif d >= 2:
@@ -98,19 +87,20 @@ def paraproduct_support_defect(f: SpectralField, g: SpectralField) -> float:
     """Largest coefficient of any T_f g block-j contribution outside its
     frequency envelope |n| <= 5 * 2^j (low-pass support 2^j plus block
     support 2^{j+2}), relative to the overall sup coefficient."""
+    if f.grid != g.grid:
+        raise GridError("paraproduct_support_defect needs a shared grid")
     grid = f.grid
-    fb = _extended_blocks_physical(f)
-    gb_fields = lp_decompose(g)
-    f_prefix = np.cumsum(np.stack(fb), axis=0)
+    fb = _blocks(f.coeffs, grid, tails=True)
+    gb = _blocks(g.coeffs, grid)
+    next(gb)  # T_f g has no block-j_min term
+    low = next(fb)  # at shell j: S_{j_min} f plus Delta_k f for k <= j - 2
     n = wavevectors(grid)
     nsq = n[0] ** 2 + n[1] ** 2 + n[2] ** 2
     worst = 0.0
     top = 0.0
-    for i, j in enumerate(grid.shells):
-        # extended index of shell j is i + 1; T pairs use f blocks <= i - 1
-        if i + 1 < 2:
-            continue
-        piece = from_physical(grid, f_prefix[i - 1] * gb_fields.blocks[i].physical())
+    for j, gblk, fblk in zip(grid.shells[1:], gb, fb):
+        piece = from_physical(grid, low * gblk)
+        low = low + fblk
         top = max(top, piece.sup_coeff())
         outside = nsq > 25 * 4**j  # |n| > 5 * 2^j, exact in integers
         if np.any(outside):
@@ -163,8 +153,6 @@ def heat_characterization_norm(u: SpectralField, idx: BesovIndex) -> float:
     """sup_t t^{-s/2} ||e^{t Laplace} u||_{L^p}: the heat-flow formulation
     of a negative-regularity Besov norm (s < 0 required), over 48
     geometric times covering the dyadic times of every resolved shell."""
-    from .field import heat_flow
-
     if idx.s >= 0:
         raise ValueError("heat characterization needs s < 0")
     grid = u.grid
@@ -189,18 +177,17 @@ def heat_block_decay_rates(u: SpectralField) -> list[tuple[int, float, float]]:
     early times and the support edge at late times, and stays within a
     bounded factor of the nominal rate for any block content.
     """
-    from .field import heat_flow
-
     grid = u.grid
     k_unit = TWO_PI / grid.period
-    blocks = lp_decompose(u).blocks
+    k2 = wavenumber_sq(grid)
     out = []
-    for block, j in zip(blocks, grid.shells):
-        if block.l2() == 0.0:
+    for w, j in zip(_block_energies(u.coeffs, grid), grid.shells):
+        if not np.any(w):
             continue
         k_ref = k_unit * 2.0 ** (j + 1)
         ts = np.linspace(0.0, 1.0 / k_ref**2, 12)
-        vals = np.array([heat_flow(block, t).l2() for t in ts])
+        vals = np.sqrt([grid.period**3 * float(np.sum(w * np.exp(-2.0 * t * k2)))
+                        for t in ts])
         good = vals > 0
         slope = np.polyfit(ts[good], np.log(vals[good]), 1)[0]
         out.append((j, -float(slope), float(k_ref**2)))

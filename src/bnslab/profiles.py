@@ -25,8 +25,8 @@ import numpy as np
 from .errors import GridError, ResolutionError
 from .field import SpectralField, Trajectory, _Field, _real_physical, dyadic_shift
 from .grid import GridSpec, TWO_PI, wavevectors
-from .littlewood_paley import (BesovIndex, besov_norm, block_lp_norms,
-                               critical_index, lp_decompose)
+from .littlewood_paley import (BesovIndex, _blocks, besov_norm, block_lp_norms,
+                               critical_index)
 from .solver import SolverConfig, heat_trajectory, picard_solve
 from .spacetime import script_norm
 
@@ -189,14 +189,12 @@ def cross_term(a: SpectralField, v: SpectralField, p: int, r: int) -> float:
     """
     if not (1 <= r <= p - 1):
         raise ValueError("need 1 <= r <= p-1")
+    if a.grid != v.grid:
+        raise GridError("cross_term needs a shared grid")
     grid = a.grid
     sp = -1.0 + 3.0 / p
-    blocks_a = lp_decompose(a).blocks
-    blocks_v = lp_decompose(v).blocks
     total = 0.0
-    for jj, j in enumerate(grid.shells):
-        pa = blocks_a[jj].physical()
-        pv = blocks_v[jj].physical()
+    for j, pa, pv in zip(grid.shells, _blocks(a.coeffs, grid), _blocks(v.coeffs, grid)):
         mag_a = np.sqrt(np.sum(pa * pa, axis=0))
         mag_v = np.sqrt(np.sum(pv * pv, axis=0))
         integral = float(np.sum(mag_a**r * mag_v ** (p - r))) * grid.cell_volume

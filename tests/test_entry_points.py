@@ -1,6 +1,7 @@
 """The documented entry points run: the README "Quick start" block, its
 example config and each script's `--help`, so a renamed or moved name
 breaks a test rather than the docs."""
+import importlib.util
 import os
 import re
 import subprocess
@@ -38,3 +39,26 @@ def test_script_help(script):
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_bench_record_refuses_a_checkout_without_a_commit(monkeypatch, capsys):
+    """Without a commit to name, the recorder exits 2 before any workload
+    runs and writes no record."""
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "scripts" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    commands = []
+
+    def no_git(cmd, **kwargs):
+        commands.append(cmd)
+        if cmd[0] != "git":
+            raise AssertionError(f"ran {cmd} without a commit to record")
+        return subprocess.CompletedProcess(cmd, 128, stdout="",
+                                           stderr="fatal: not a git repository")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", no_git)
+    assert bench_record.main(["--label", "no_commit_test"]) == 2
+    assert commands == [["git", "rev-parse", "HEAD"]]
+    assert "not a git repository" in capsys.readouterr().err
+    assert not (ROOT / "BENCH_no_commit_test.json").exists()

@@ -15,7 +15,7 @@ import scipy.fft
 from bnslab import littlewood_paley
 from bnslab.field import (Trajectory, hermitian_symmetrize, random_band_limited,
                           scaling_transform, shell_bump, single_mode)
-from bnslab.grid import GridSpec, shell_multipliers
+from bnslab.grid import GridSpec, low_pass_multipliers, shell_multipliers
 from bnslab.littlewood_paley import (BesovIndex, bernstein_ratio, besov_norm,
                                      block_lp_norms, critical_index,
                                      lp_decompose, shell_energies)
@@ -160,7 +160,8 @@ def _full_spectrum(grid, seed):
 def test_block_engine_matches_full_transform(grid):
     """Half spectrum, pruned passes, product powers and Parseval at p = 2
     agree with the full complex inverse of every block to 1e-14, and a
-    block that is zero comes out exactly 0.  The top-shell bump is
+    block that is zero comes out exactly 0; so do the block samples
+    themselves, the two trimmed tails included.  The top-shell bump is
     Leray-projected data at the grid's corners, which must stay real."""
     u = _full_spectrum(grid, seed=21)
     bump = shell_bump(grid, grid.j_min + 1, seed=22)  # the far shells are exactly 0
@@ -176,6 +177,18 @@ def test_block_engine_matches_full_transform(grid):
         nonzero = ref > 0.0
         assert np.max(np.abs(got - ref)[nonzero] / ref[nonzero]) < 1e-14, p
         assert np.array_equal(block_lp_norms(u, p), got[0])
+    lows = low_pass_multipliers(grid)
+    multipliers = [lows[0], *shell_multipliers(grid), 1.0 - lows[-1]]
+    for c in traj.coeffs:
+        blocks = list(littlewood_paley._blocks(c, grid, tails=True))
+        assert len(blocks) == len(multipliers)
+        for got, m in zip(blocks, multipliers):
+            ref = np.real(scipy.fft.ifftn(c * m, axes=(-3, -2, -1), norm="forward"))
+            top = np.max(np.abs(ref))
+            if top == 0.0:
+                assert not np.any(got)
+            else:
+                assert np.max(np.abs(got - ref)) < 1e-14 * top
 
 
 @pytest.mark.parametrize("grid", [GridSpec(32), GridSpec(64, j_min=1),

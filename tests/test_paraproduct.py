@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from bnslab import paraproduct
-from bnslab.field import dealias, from_physical, random_band_limited, shell_bump
+from bnslab.errors import GridError
+from bnslab.field import (dealias, from_physical, heat_flow, random_band_limited,
+                          scaling_transform, shell_bump)
 from bnslab.grid import GridSpec
-from bnslab.littlewood_paley import critical_index
+from bnslab.littlewood_paley import critical_index, lp_decompose
 from bnslab.paraproduct import (bilinear_kato_check, bony_decompose,
                                 bony_reconstruction_defect,
                                 heat_block_decay_rates,
@@ -69,6 +70,13 @@ def test_support_defect_small(grid):
     assert paraproduct_support_defect(f, g) < 1e-12
 
 
+def test_support_defect_needs_a_shared_grid(grid):
+    f = random_band_limited(grid, j_lo=0, j_hi=2, seed=86)
+    g = scaling_transform(random_band_limited(grid, j_lo=0, j_hi=2, seed=87), 1)
+    with pytest.raises(GridError):
+        paraproduct_support_defect(f, g)
+
+
 def test_product_estimate_constants(grid):
     f = random_band_limited(grid, j_lo=0, j_hi=2, seed=88)
     g = random_band_limited(grid, j_lo=0, j_hi=2, seed=89)
@@ -108,16 +116,22 @@ def test_heat_block_decay_rates(grid):
         assert 0.5 * ref <= fitted <= 2.0 * ref
 
 
-def test_heat_block_decay_rates_decomposes_once(grid, monkeypatch):
-    calls = []
-
-    def counting(u, _decompose=paraproduct.lp_decompose):
-        calls.append(u)
-        return _decompose(u)
-
-    monkeypatch.setattr(paraproduct, "lp_decompose", counting)
-    heat_block_decay_rates(random_band_limited(grid, j_lo=0, j_hi=2, seed=92))
-    assert len(calls) == 1
+@pytest.mark.parametrize("grid", [GridSpec(32), GridSpec(32, period=1.0)],
+                         ids=["32", "32-period1"])
+def test_heat_block_decay_rates_match_block_copies(grid):
+    """The Parseval fits agree with fits to the L^2 norms of heat-flowed
+    copies of every block."""
+    u = random_band_limited(grid, j_lo=0, j_hi=grid.j_max, seed=92)
+    k_unit = 2.0 * math.pi / grid.period
+    ref = []
+    for block, j in zip(lp_decompose(u).blocks, grid.shells):
+        k_ref = k_unit * 2.0 ** (j + 1)
+        ts = np.linspace(0.0, 1.0 / k_ref**2, 12)
+        vals = np.array([heat_flow(block, t).l2() for t in ts])
+        ref.append((j, -np.polyfit(ts, np.log(vals), 1)[0], k_ref**2))
+    got = heat_block_decay_rates(u)
+    assert [r[0] for r in got] == list(grid.shells)
+    assert np.allclose(np.array(got), np.array(ref), rtol=1e-12, atol=0.0)
 
 
 def test_bilinear_kato_constant(grid):

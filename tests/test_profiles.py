@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnslab.errors import GridError
-from bnslab.field import random_band_limited, shell_bump
+from bnslab.field import random_band_limited, scaling_transform, shell_bump
 from bnslab.grid import GridSpec
 from bnslab.littlewood_paley import besov_norm, critical_index
 from bnslab.profiles import (ProfileSet, ScaleCore, cross_term,
@@ -108,6 +108,13 @@ def test_cross_term_positive_same_shell(grid):
     a = shell_bump(grid, 1, seed=3)
     v = shell_bump(grid, 1, seed=4)
     assert cross_term(a, v, 3, 1) > 0.0
+
+
+def test_cross_term_needs_a_shared_grid(grid):
+    a = shell_bump(grid, 1, seed=3)
+    v = scaling_transform(shell_bump(grid, 1, seed=4), 1)
+    with pytest.raises(GridError):
+        cross_term(a, v, 3, 1)
 
 
 def test_pythagorean_gap_decreases(grid):
