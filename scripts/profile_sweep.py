@@ -30,7 +30,7 @@ def main():
         b = ScaleCore(m, (sep, sep, sep))
         ps = ProfileSet([phi1, phi2], [[a], [b]], [None])
         f = synthesize(ps, 0, p=idx.p)
-        eps = pythagorean_gap(ps, 0, idx, f_n=f)
+        eps = pythagorean_gap(ps, 0, idx)
         rel = eps / besov_norm(f, idx) ** idx.p
         cross = max_cross_term(scale_op(a, phi1), scale_op(b, phi2), 3)
         gap = orthogonality_gap(a, b, grid)

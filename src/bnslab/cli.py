@@ -23,7 +23,7 @@ from .errors import ConfigError, GridError, InversionError, ResolutionError
 from .field import (SpectralField, random_band_limited, set_threads,
                     shell_bump, taylor_green_like)
 from .grid import GridSpec
-from .littlewood_paley import BesovIndex, besov_norm, critical_index
+from .littlewood_paley import besov_norm, critical_index
 from .paraproduct import (bilinear_kato_check, bony_reconstruction_defect,
                           heat_block_decay_rates,
                           heat_characterization_norm, product_estimate_check)
@@ -36,10 +36,6 @@ from .spacetime import (REPORT_HEADER, SpaceTimeNormSpec,
                         embedding_chain_check, kato_interpolation_constant,
                         report_row)
 from .expansion import duhamel_expand, expand_solution, simple_iteration
-
-COMMANDS = ("norms", "solve", "expand", "iterate", "profiles",
-            "verify-estimates", "generate-field")
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bnslab",
@@ -206,8 +202,8 @@ def _cmd_norms(cfg, seed, out_dir) -> dict:
         SpaceTimeNormSpec("chemin_lerner", idx, rho=1.0),
         SpaceTimeNormSpec("chemin_lerner", idx, rho=math.inf),
         SpaceTimeNormSpec("script", critical_index(p, math.inf), a=1.0, b=math.inf),
-        SpaceTimeNormSpec("kato", BesovIndex(-1.0 + 3.0 / q, q, q)),
-        SpaceTimeNormSpec("kato1", BesovIndex(-1.0 + 3.0 / q, q, q)),
+        SpaceTimeNormSpec("kato", critical_index(q, q)),
+        SpaceTimeNormSpec("kato1", critical_index(q, q)),
         SpaceTimeNormSpec("lebesgue", idx, rho=2.0),
     ):
         rows.append(report_row(traj, spec))
@@ -292,8 +288,7 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
     evolve = cfg.getboolean("profiles", "evolve", fallback=False)
     rows = ["n,J,epsilon,cross_term_max,r_norm"]
     for n in range(len(ms)):
-        f_n = synthesize(ps, n, 2, p=p)
-        eps = pythagorean_gap(ps, n, idx, 2, f_n)
+        eps = pythagorean_gap(ps, n, idx, 2)
         cross = max_cross_term(phi1, scale_op(scheds2[n], phi2, p=p), int(p)) \
             if float(p).is_integer() else float("nan")
         r_norm = ""
@@ -355,14 +350,15 @@ def _cmd_verify_estimates(cfg, seed, out_dir) -> dict:
 
 
 _HANDLERS = {
-    "generate-field": _cmd_generate_field,
     "norms": _cmd_norms,
     "solve": _cmd_solve,
     "expand": _cmd_expand,
     "iterate": _cmd_iterate,
     "profiles": _cmd_profiles,
     "verify-estimates": _cmd_verify_estimates,
+    "generate-field": _cmd_generate_field,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 if __name__ == "__main__":

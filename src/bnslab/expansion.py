@@ -50,6 +50,10 @@ class OperatorHandle:
 # iterations allowed per time slab
 _INVERSION_TOL = 1e-10
 _INVERSION_ITERS = 80
+# early verdict on a slab round: from iteration _VERDICT_FROM on, the rate
+# is the geometric mean of the last _VERDICT_SPAN update ratios
+_VERDICT_FROM = 5
+_VERDICT_SPAN = 4
 
 
 def _rel_script(diff: Trajectory, ref: float, p: float) -> float:
@@ -104,6 +108,20 @@ def apply_L(handle: OperatorHandle, w: Trajectory) -> Trajectory:
     return w - 2.0 * bilinear_B(handle.drift, w)
 
 
+def _round_fails(deltas: list[float], scale: float) -> bool:
+    """True once the updates of a slab round so far condemn it: the last
+    exceeds 4x the one before, or (early verdict) their rate r is at least
+    1 or the last relative update times r^(iterations left) is still above
+    the tolerance, so the budget cannot suffice."""
+    it = len(deltas)
+    if it > 1 and deltas[-1] > 4.0 * deltas[-2]:
+        return True
+    if it < _VERDICT_FROM:
+        return False
+    r = (deltas[-1] / deltas[-1 - _VERDICT_SPAN]) ** (1.0 / _VERDICT_SPAN)
+    return r >= 1.0 or deltas[-1] / scale * r ** (_INVERSION_ITERS - it) > _INVERSION_TOL
+
+
 def _slab_bounds(nt: int, n_slabs: int) -> np.ndarray:
     """Start indices of n_slabs near-equal slabs of nt time levels, then nt."""
     return np.linspace(0, nt, n_slabs + 1).astype(int)
@@ -114,7 +132,9 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
 
     The fixed point runs on time slabs: B_sigma is causal, so once w is
     converged on [0, t1] the later slabs only ever read settled values.
-    If the iteration fails to contract, the slab count doubles, shrinking
+    A round fails when an update exceeds 4x the previous one, when the
+    iteration budget runs out, or as soon as the rate of the updates shows
+    that the budget cannot suffice.  Then the slab count doubles, shrinking
     the local drift norm, up to 64 slabs or until every slab holds one
     time level, after which doubling leaves the partition unchanged.
     """
@@ -130,17 +150,17 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
             lo, hi = bounds[s], bounds[s + 1]
             if hi <= lo:
                 continue
-            prev = math.inf
+            deltas = []
             for _ in range(_INVERSION_ITERS):
                 w_full = z + 2.0 * bilinear_B(v, w)
                 delta = float(np.max(np.abs(w_full.coeffs[:hi] - w.coeffs[:hi])))
                 w.coeffs[lo:hi] = w_full.coeffs[lo:hi]
                 if delta / scale < _INVERSION_TOL:
                     break
-                if delta > 4.0 * prev:
+                deltas.append(delta)
+                if _round_fails(deltas, scale):
                     ok = False
                     break
-                prev = delta
             else:
                 ok = False
             if not ok:

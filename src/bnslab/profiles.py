@@ -18,12 +18,13 @@ dilation of the domain; a periodized dilation wraps instead of spreading.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GridError, ResolutionError
-from .field import SpectralField, Trajectory, _Field, _real_physical, dyadic_shift
+from .field import SpectralField, _Field, _real_physical, dyadic_shift
 from .grid import GridSpec, TWO_PI, wavevectors
 from .littlewood_paley import (BesovIndex, _blocks, besov_norm, block_lp_norms,
                                critical_index)
@@ -46,24 +47,22 @@ class ScaleCore:
         """Scale-core of Lambda_self after Lambda_other (self applied last):
         combined scale lambda_s lambda_o, combined core x_s + lambda_s x_o.
         The composed core must land on the grid."""
-        shift = []
-        for i in range(3):
-            scaled = self.lam * other.core[i]
-            if abs(scaled - round(scaled)) > 1e-9:
-                raise GridError("composed core leaves the grid")
-            shift.append(round(scaled) + self.core[i])
-        return ScaleCore(self.m + other.m, tuple(shift))
+        return ScaleCore(self.m + other.m, tuple(
+            _on_grid(self.lam * o, "composed") + c
+            for o, c in zip(other.core, self.core)))
 
     def inverse(self) -> "ScaleCore":
         """ScaleCore with Lambda_inv Lambda = identity; requires the
         rescaled core to stay on the grid."""
-        shift = []
-        for c in self.core:
-            scaled = -c / self.lam
-            if abs(scaled - round(scaled)) > 1e-9:
-                raise GridError("inverse core leaves the grid")
-            shift.append(round(scaled))
-        return ScaleCore(-self.m, tuple(shift))
+        return ScaleCore(-self.m, tuple(_on_grid(-c / self.lam, "inverse")
+                                        for c in self.core))
+
+
+def _on_grid(x: float, what: str) -> int:
+    """x as a grid offset; raises GridError unless it is an integer."""
+    if abs(x - round(x)) > 1e-9:
+        raise GridError(f"{what} core leaves the grid")
+    return round(x)
 
 
 def orthogonality_gap(a: ScaleCore, b: ScaleCore, grid: GridSpec) -> float:
@@ -91,8 +90,7 @@ def scale_op(sc: ScaleCore, u: _Field, p: float = 3.0,
     """
     shift = -sc.m  # lambda = 2^m spreads; frequency moves down by m
     if normalization == "critical":
-        sp = -1.0 + 3.0 / p
-        amp = 2.0 ** (-shift * sp)
+        amp = 2.0 ** (-shift * critical_index(p, p).s)
     elif normalization == "ns":
         amp = 2.0**shift
     else:
@@ -110,18 +108,6 @@ def translate(u: _Field, core: tuple[int, int, int]) -> _Field:
     return replace(u, coeffs=u.coeffs * phase)
 
 
-def scale_op_trajectory(sc: ScaleCore, traj: Trajectory, p: float = 3.0,
-                        normalization: str = "ns") -> Trajectory:
-    """Lambda u(t/lambda^2, .) sampled on the dilated time grid.
-
-    Modes leaving the representable band are dropped: the evolved coarse
-    solution carries harmonics that the fine-grid dynamics dealiases, so
-    nothing meaningful is lost.
-    """
-    return replace(scale_op(sc, traj, p, normalization, strict=False),
-                   times=traj.times * sc.lam**2)
-
-
 @dataclass
 class ProfileSet:
     profiles: list  # list of SpectralField
@@ -132,8 +118,9 @@ class ProfileSet:
     def n_profiles(self) -> int:
         return len(self.profiles)
 
-    def n_indices(self) -> int:
-        return len(self.schedules[0]) if self.schedules else 0
+    def _remainder(self, n: int) -> SpectralField | None:
+        """psi_n, or None when the set holds no remainder at index n."""
+        return self.remainders[n] if self.remainders and n < len(self.remainders) else None
 
     def manifest_rows(self) -> str:
         lines = ["profile,n,m,core_x,core_y,core_z"]
@@ -146,23 +133,26 @@ class ProfileSet:
 def synthesize(ps: ProfileSet, n: int, J: int | None = None, p: float = 3.0,
                normalization: str = "critical") -> SpectralField:
     """f_n = sum_{j<J} Lambda_{j,n} phi_j + psi_n."""
+    return _synthesis(ps, n, J, p, normalization)[0]
+
+
+def _synthesis(ps: ProfileSet, n: int, J: int | None, p: float,
+               normalization: str = "critical") -> tuple[SpectralField, list]:
+    """(f_n, [Lambda_{j,n} phi_j for j < J] + [psi_n if the set holds one])."""
     J = ps.n_profiles() if J is None else min(J, ps.n_profiles())
-    total = None
-    for j in range(J):
-        term = scale_op(ps.schedules[j][n], ps.profiles[j], p, normalization)
-        total = term if total is None else total + term
-    if ps.remainders and n < len(ps.remainders) and ps.remainders[n] is not None:
-        rem = ps.remainders[n]
-        total = rem if total is None else total + rem
-    if total is None:
+    terms = [scale_op(ps.schedules[j][n], ps.profiles[j], p, normalization)
+             for j in range(J)]
+    rem = ps._remainder(n)
+    terms += [] if rem is None else [rem]
+    if not terms:
         raise GridError("nothing to synthesize")
-    return total
+    return sum(terms[1:], terms[0]), terms
 
 
 # -- diagnostics -------------------------------------------------------------
 
-def pythagorean_gap(ps: ProfileSet, n: int, idx: BesovIndex, J: int | None = None,
-                    f_n: SpectralField | None = None) -> float:
+def pythagorean_gap(ps: ProfileSet, n: int, idx: BesovIndex,
+                    J: int | None = None) -> float:
     """epsilon(n, J) = | ||f_n||^p - sum_j ||Lambda_{j,n} phi_j||^p - ||psi_n||^p |.
 
     Each summand norm is evaluated on the grid where it actually lives
@@ -170,15 +160,10 @@ def pythagorean_gap(ps: ProfileSet, n: int, idx: BesovIndex, J: int | None = Non
     continuum, so this agrees with the textbook statement there while
     keeping quadrature drift out of the orthogonality diagnostic.
     """
-    J = ps.n_profiles() if J is None else J
-    if f_n is None:
-        f_n = synthesize(ps, n, J, p=idx.p)
+    f_n, terms = _synthesis(ps, n, J, idx.p)
     total = besov_norm(f_n, idx) ** idx.p
-    for j in range(min(J, ps.n_profiles())):
-        scaled = scale_op(ps.schedules[j][n], ps.profiles[j], p=idx.p)
-        total -= besov_norm(scaled, idx) ** idx.p
-    if ps.remainders and n < len(ps.remainders) and ps.remainders[n] is not None:
-        total -= besov_norm(ps.remainders[n], idx) ** idx.p
+    for term in terms:
+        total -= besov_norm(term, idx) ** idx.p
     return abs(total)
 
 
@@ -192,7 +177,7 @@ def cross_term(a: SpectralField, v: SpectralField, p: int, r: int) -> float:
     if a.grid != v.grid:
         raise GridError("cross_term needs a shared grid")
     grid = a.grid
-    sp = -1.0 + 3.0 / p
+    sp = critical_index(p, p).s
     total = 0.0
     for j, pa, pv in zip(grid.shells, _blocks(a.coeffs, grid), _blocks(v.coeffs, grid)):
         mag_a = np.sqrt(np.sum(pa * pa, axis=0))
@@ -244,71 +229,34 @@ def extract_profiles(
     idx = critical_index(p, p)
     idx_q = critical_index(6.0, 6.0)
     residual = [replace(f, coeffs=f.coeffs.copy()) for f in seq]
-    n_seq = len(seq)
-    tail = range(n_seq // 2, n_seq)
+    tail = range(len(seq) // 2, len(seq))
     profiles: list[SpectralField] = []
     schedules: list[list[ScaleCore]] = []
-    raw_schedules: list[ScaleCore] = []
-    complete = False
-    for _ in range(j_max):
-        tail_norm = float(np.mean([besov_norm(residual[n], idx_q)
-                                   for n in tail]))
-        if tail_norm < threshold:
-            complete = True
+    while True:
+        complete = float(np.mean([besov_norm(residual[n], idx_q)
+                                  for n in tail])) < threshold
+        if complete or len(profiles) == j_max:
             break
         # per-index schedule from the dominant concentration
-        sched = []
-        for n in range(n_seq):
-            j_star = _dominant_shell(residual[n], idx)
-            core = _peak_cell(residual[n])
-            sched.append(ScaleCore(1 - j_star, core))
-        cand = _tail_average(residual, sched, tail, p)
-        # refine the per-index cores by cross-correlating each residual
-        # against the scaled candidate (raw peak cells are noisy when
-        # several bumps coexist), then rebuild the candidate
-        for _ in range(2):
-            sched = [ScaleCore(sched[n].m,
-                               _align_core(residual[n], cand, sched[n].m, p))
-                     for n in range(n_seq)]
-            cand = _tail_average(residual, sched, tail, p)
+        sched = [ScaleCore(1 - _dominant_shell(r, idx), _peak_cell(r))
+                 for r in residual]
+        sched, cand = _fit(residual, sched, tail, p, 2)
         if besov_norm(cand, idx) < threshold:
             complete = True
             break
-        duplicate = False
-        for prev in raw_schedules:
-            gap = orthogonality_gap(sched[-1], prev, grid)
-            if gap < 4.0:
-                duplicate = True
-                break
-        if duplicate:
+        if any(orthogonality_gap(sched[-1], s[-1], grid) < 4.0 for s in schedules):
             break
-        raw_schedules.append(sched[-1])
         profiles.append(cand)
         schedules.append(sched)
-        for n in range(n_seq):
-            residual[n] = residual[n] - scale_op(sched[n], cand, p,
-                                                 strict=False)
-    else:
-        complete = float(np.mean([besov_norm(residual[n], idx_q)
-                                  for n in tail])) < threshold
+        _update(residual, sched, cand, p, operator.sub)
+    cand = None  # a rejected candidate would stay alive through back-fitting
     # back-fitting: refit each profile on the residual with its own
     # contribution restored, cleaning up greedy cross-contamination
-    for _ in range(2 if profiles else 0):
+    for _ in range(2):
         for jj in range(len(profiles)):
-            for n in range(n_seq):
-                residual[n] = residual[n] + scale_op(
-                    schedules[jj][n], profiles[jj], p, strict=False)
-            sched = schedules[jj]
-            cand = _tail_average(residual, sched, tail, p)
-            sched = [ScaleCore(sched[n].m,
-                               _align_core(residual[n], cand, sched[n].m, p))
-                     for n in range(n_seq)]
-            cand = _tail_average(residual, sched, tail, p)
-            profiles[jj] = cand
-            schedules[jj] = sched
-            for n in range(n_seq):
-                residual[n] = residual[n] - scale_op(sched[n], cand, p,
-                                                     strict=False)
+            _update(residual, schedules[jj], profiles[jj], p, operator.add)
+            schedules[jj], profiles[jj] = _fit(residual, schedules[jj], tail, p, 1)
+            _update(residual, schedules[jj], profiles[jj], p, operator.sub)
     # gauge: absorb the last-index schedule into each profile so a
     # constant (identity) schedule round-trips to the planted field
     for jj in range(len(profiles)):
@@ -325,22 +273,42 @@ def extract_profiles(
     return ProfileSet(profiles, schedules, list(residual), complete)
 
 
+def _fit(residual: list[SpectralField], sched: list[ScaleCore], tail: range, p: float,
+         rounds: int) -> tuple[list[ScaleCore], SpectralField]:
+    """Tail-average the unscaled residuals into a candidate, then `rounds`
+    times refine every core by cross-correlating its residual against the
+    scaled candidate (raw peak cells are noisy when several bumps coexist)
+    and rebuild the candidate."""
+    cand = _tail_average(residual, sched, tail, p)
+    for _ in range(rounds):
+        sched = [ScaleCore(sc.m, _align_core(r, cand, sc.m, p))
+                 for r, sc in zip(residual, sched)]
+        cand = _tail_average(residual, sched, tail, p)
+    return sched, cand
+
+
+def _update(residual: list[SpectralField], sched: list[ScaleCore],
+            profile: SpectralField, p: float, op) -> None:
+    """residual[n] = op(residual[n], Lambda_n profile) for every index n:
+    operator.add restores a profile, operator.sub deflates it."""
+    for n, sc in enumerate(sched):
+        residual[n] = op(residual[n], scale_op(sc, profile, p, strict=False))
+
+
 def _tail_average(residual: list[SpectralField], sched: list[ScaleCore],
-                  tail, p: float) -> SpectralField:
+                  tail: range, p: float) -> SpectralField:
     acc = None
     for n in tail:
         inv = _unscale(sched[n], residual[n], p)
         acc = inv if acc is None else acc + inv
-    return acc * (1.0 / len(list(tail)))
+    return acc * (1.0 / len(tail))
 
 
 def _align_core(r: SpectralField, cand: SpectralField, m: int,
                 p: float) -> tuple[int, int, int]:
     """Grid shift maximizing the circular cross-correlation of r with the
     scaled (untranslated) candidate."""
-    shift = -m
-    amp = 2.0 ** (-shift * (-1.0 + 3.0 / p))
-    w = dyadic_shift(cand, shift, amplitude=amp, strict=False)
+    w = scale_op(ScaleCore(m), cand, p, strict=False)
     spec = np.sum(np.conj(w.coeffs) * r.coeffs, axis=0)
     # a periodic scaled candidate gives exactly tied correlation maxima,
     # so rounding decides which one argmax returns, and the duplicate test
@@ -356,10 +324,8 @@ def _unscale(sc: ScaleCore, u: SpectralField, p: float) -> SpectralField:
     """Inverse of scale_op in the critical normalization, dropping modes
     that do not descend from the coarse lattice (weak-limit filtering)."""
     back = translate(u, tuple(-c for c in sc.core))
-    sp = -1.0 + 3.0 / p
-    shift = sc.m
-    amp = 2.0 ** (-shift * sp)
-    return dyadic_shift(back, shift, amplitude=amp, strict=False)
+    amp = 2.0 ** (-sc.m * critical_index(p, p).s)
+    return dyadic_shift(back, sc.m, amplitude=amp, strict=False)
 
 
 # -- evolved decomposition -----------------------------------------------------
@@ -388,13 +354,17 @@ def evolve_decomposition(ps: ProfileSet, cfg: SolverConfig, n: int,
         if rep_j.classification == "picard_diverged":
             return {"diverged": True, "r_norm": math.inf, "n": n,
                     "which": j}
-        total_j = scale_op_trajectory(sc, U_j, p, normalization="ns")
+        # Lambda U_j(t/lambda^2) on the dilated time grid.  Modes leaving
+        # the representable band are dropped: the evolved coarse solution
+        # carries harmonics that the fine-grid dynamics dealiases, so
+        # nothing meaningful is lost.
+        total_j = replace(scale_op(sc, U_j, p, "ns", strict=False),
+                          times=U_j.times * sc.lam**2)
         total = total_j if total is None else total + total_j
-    if ps.remainders and n < len(ps.remainders) and ps.remainders[n] is not None:
-        rem = ps.remainders[n]
+    rem = ps._remainder(n)
+    if rem is not None:
         w = heat_trajectory(rem, u_n.times)
         total = w if total is None else total + w
-    r = u_n - total
-    r_norm = script_norm(r, 2.0, math.inf, q)
+    r_norm = script_norm(u_n - total, 2.0, math.inf, q)
     return {"diverged": False, "n": n, "r_norm": r_norm,
             "u_norm": script_norm(u_n, 2.0, math.inf, q)}

@@ -15,7 +15,7 @@ import numpy as np
 
 from .field import SpectralField, Trajectory, scaling_transform
 from .grid import GridSpec
-from .littlewood_paley import BesovIndex, besov_from_blocks, block_lp_norms
+from .littlewood_paley import BesovIndex, besov_from_blocks, block_lp_norms, critical_index
 
 
 def from_fields(times, fields: list[SpectralField]) -> Trajectory:
@@ -103,7 +103,7 @@ def _script_prefix(mat: np.ndarray, times: np.ndarray, grid: GridSpec,
                    a: float, b: float, p: float, q: float | None = None) -> np.ndarray:
     """The script norm on every prefix window [times[0], times[i]]."""
     q = p if q is None else q
-    sp = -1.0 + 3.0 / p
+    sp = critical_index(p, p).s
     return np.maximum.reduce([
         besov_from_blocks(_time_norms(mat, times, r), grid,
                           BesovIndex(sp + (0.0 if math.isinf(r) else 2.0 / r), p, q))
@@ -152,8 +152,7 @@ def script_norm(
 def _kato_sup(times: np.ndarray, values: np.ndarray, q: float, order: int) -> float:
     """sup over t > 0 of t^{-s_q/2} (order 0) or t^{1/2 - s_q/2} (order 1)
     times the sampled values; 0 when no sample is positive."""
-    sq = -1.0 + 3.0 / q
-    power = -sq / 2.0 + (0.5 if order == 1 else 0.0)
+    power = -critical_index(q, q).s / 2.0 + (0.5 if order == 1 else 0.0)
     pos = times > 0.0
     return float(np.max(times[pos] ** power * values[pos], initial=0.0))
 
@@ -254,7 +253,7 @@ def kato_interpolation_constant(traj: Trajectory, p: float, T: float = math.inf)
     ||f||_{K1_p}^{(p-3)/(2p-3)}; returns the observed ratio."""
     if p <= 3:
         raise ValueError("requires p > 3")
-    sp = -1.0 + 3.0 / p
+    sp = critical_index(p, p).s
     kato = kato_norm(traj, p, T, order=0)
     win = _window(traj, 0.0, T)
     mat = block_norm_matrix(win, p)

@@ -193,7 +193,7 @@ def test_criterion_10_pythagorean_gap_sweep(grid64):
             remainders=[None],
         )
         f = synthesize(ps, 0, p=idx.p)
-        eps.append(pythagorean_gap(ps, 0, idx, f_n=f))
+        eps.append(pythagorean_gap(ps, 0, idx))
         final_norm = besov_norm(f, idx) ** idx.p
     assert all(b <= a + 1e-12 for a, b in zip(eps, eps[1:]))
     assert eps[-1] <= 0.05 * final_norm

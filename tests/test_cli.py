@@ -13,6 +13,8 @@ import pytest
 from bnslab.cli import main
 from bnslab.field import SpectralField, random_band_limited
 from bnslab.grid import GridSpec
+from bnslab.littlewood_paley import critical_index
+from bnslab.profiles import ProfileSet, ScaleCore, pythagorean_gap
 from bnslab.snapshots import write_field
 
 
@@ -193,3 +195,61 @@ def test_iterate_command(tmp_path):
 def test_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "/dev/null"])
+
+
+PROFILES = """[grid]
+n_points = 32
+[profile1]
+j_lo = 0
+j_hi = 0
+[profile2]
+j_lo = 0
+j_hi = 0
+amplitude = 0.7
+[profiles]
+m_sweep = -1 -1 -2 -2
+sep_sweep = 3 5 7 9
+extract = true
+threshold = 0.01
+"""
+
+
+def test_profiles_command(tmp_path):
+    # the golden extraction case: profile 2 runs along the schedule
+    # (m, (s, s, s)) against a fixed profile 1, and extraction recovers both
+    code, out = run(tmp_path, "profiles", PROFILES, "--seed", "21")
+    assert code == 0
+    rows = (out / "report.csv").read_text().splitlines()
+    assert rows[0] == "n,J,epsilon,cross_term_max,r_norm"
+    assert [r.split(",")[:2] for r in rows[1:]] == [[str(n), "2"] for n in range(4)]
+    m = json.loads((out / "manifest.json").read_text())
+    assert set(m) == {"command", "config_sha256_16", "seed", "version",
+                      "n_indices", "extracted", "extracted_norms"}
+    assert m["n_indices"] == 4 and m["extracted"] == 2
+    # the command's set carries no remainders; its defects are the direct ones
+    grid = GridSpec(32)
+    phi1 = random_band_limited(grid, j_lo=0, j_hi=0, seed=21)
+    phi2 = random_band_limited(grid, j_lo=0, j_hi=0, seed=22, amplitude=0.7)
+    scheds2 = [ScaleCore(m, (s, s, s)) for m, s in zip((-1, -1, -2, -2), (3, 5, 7, 9))]
+    ps = ProfileSet((phi1, phi2), ([ScaleCore(0)] * 4, scheds2), remainders=None)
+    idx = critical_index(3.0, 3.0)
+    for n, row in enumerate(rows[1:]):
+        assert float(row.split(",")[2]) == pythagorean_gap(ps, n, idx, 2)
+
+
+def test_verify_estimates_command(tmp_path):
+    body = "[grid]\nn_points = 32\n[verify]\nn_fields = 2\n"
+    code, out = run(tmp_path, "verify-estimates", body, "--seed", "3")
+    assert code == 0
+    rows = [r.split(",") for r in (out / "report.csv").read_text().splitlines()]
+    assert rows[0] == ["check_id", "s1", "t1", "p", "p2", "lhs", "rhs", "ratio"]
+    ids = [r[0] for r in rows[1:]]
+    for i in range(2):
+        assert {f"prodT{i}", f"bony{i}", f"heatchar{i}", f"heatdecay{i}_j0"} <= set(ids)
+    assert {"chain_ok", "kato_interp", "kato_bilinear"} <= set(ids)
+    values = {r[0]: r[5] for r in rows[1:]}
+    assert values["chain_ok"] == "True"
+    assert all(float(values[f"bony{i}"]) <= 1e-10 for i in range(2))
+    m = json.loads((out / "manifest.json").read_text())
+    assert set(m) == {"command", "config_sha256_16", "seed", "version", "n_rows"}
+    assert m["n_rows"] == len(rows) - 1

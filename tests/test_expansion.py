@@ -86,7 +86,10 @@ def test_invert_K_roundtrip(grid):
         assert err <= 1e-8 * script_norm(w, 1.0, math.inf, 3.0)
 
 
-def test_invert_K_rejects_huge_drift(grid):
+def test_invert_K_rejects_huge_drift(grid, monkeypatch):
+    # this drift's rounds contract by about 0.85 per iteration, too slowly
+    # for the iteration budget: spending it takes 402 calls of B over the
+    # five rounds, the early verdict 45
     cfg = SolverConfig(dt=0.01, n_steps=8)
     v = heat_trajectory(
         random_band_limited(grid, j_lo=0, j_hi=2, seed=70, amplitude=500.0), cfg.times)
@@ -94,8 +97,32 @@ def test_invert_K_rejects_huge_drift(grid):
         random_band_limited(grid, j_lo=0, j_hi=2, seed=71, amplitude=0.1), cfg.times)
     handle = OperatorHandle(v)
     z = apply_L(handle, w)
+    calls = []
+
+    def counting(*args, _fn=expansion.bilinear_B):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(expansion, "bilinear_B", counting)
     with pytest.raises(InversionError):
         invert_K(handle, z)
+    assert len(calls) <= 60
+
+
+def test_round_verdict():
+    def fails(rate, first=0.1, n=5):
+        return expansion._round_fails([first * rate**i for i in range(n)], 1.0)
+
+    assert fails(5.0, n=2)  # an update above 4x the one before
+    assert not fails(0.85, n=4)  # no rate verdict before iteration 5
+    assert fails(1.0)
+    assert fails(0.85)  # 0.1 * 0.85^79 is above the tolerance
+    assert not fails(0.5)  # 0.1 * 0.5^79 is far below it
+    # at iteration 5 the verdict holds the update extrapolated to the end
+    # of the budget, last * rate^(budget - 5), against the tolerance
+    last = expansion._INVERSION_TOL / 0.5 ** (expansion._INVERSION_ITERS - 5)
+    assert not fails(0.5, first=0.99 * last / 0.5**4)
+    assert fails(0.5, first=1.01 * last / 0.5**4)
 
 
 def test_invert_K_stops_doubling_at_single_level_slabs(grid, monkeypatch):
