@@ -11,15 +11,14 @@ import argparse
 
 from bnslab.field import random_band_limited
 from bnslab.grid import GridSpec
-from bnslab.solver import SolverConfig, picard_solve
+from bnslab.solver import SolverConfig, solve
 
 
 def converges(grid, seed, amplitude):
     u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=seed,
                              amplitude=amplitude)
     cfg = SolverConfig(dt=0.01, n_steps=16, max_picard_iters=20)
-    _, rep = picard_solve(u0, cfg)
-    return rep.classification != "picard_diverged"
+    return solve(u0, cfg)[2]
 
 
 def main():

@@ -31,7 +31,7 @@ from .profiles import (ProfileSet, ScaleCore, evolve_decomposition,
                        extract_profiles, max_cross_term, pythagorean_gap,
                        scale_op, synthesize)
 from .snapshots import read_field, write_field, write_manifest, write_trajectory
-from .solver import SolverConfig, heat_trajectory, bilinear_B, picard_solve
+from .solver import SolverConfig, heat_trajectory, bilinear_B, picard_solve, solve
 from .spacetime import (REPORT_HEADER, SpaceTimeNormSpec,
                         embedding_chain_check, kato_interpolation_constant,
                         report_row)
@@ -146,6 +146,8 @@ def _field(cfg, grid: GridSpec, seed: int, section: str = "field") -> SpectralFi
         return u
     kind = cfg.get(section, "kind", fallback="random_bandlimited")
     amplitude = cfg.getfloat(section, "amplitude", fallback=1.0)
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"[{section}] amplitude must be finite, got {amplitude}")
     if kind == "random_bandlimited":
         return random_band_limited(
             grid, seed=seed,
@@ -193,6 +195,10 @@ def _cmd_norms(cfg, seed, out_dir) -> dict:
     q = cfg.getfloat("norms", "q", fallback=6.0)
     t_final = cfg.getfloat("norms", "t_final", fallback=0.5)
     n_steps = cfg.getint("norms", "n_steps", fallback=32)
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ConfigError(f"[norms] t_final must be finite and positive, got {t_final}")
+    if n_steps < 1:
+        raise ConfigError(f"[norms] n_steps must be >= 1, got {n_steps}")
     times = np.linspace(0.0, t_final, n_steps + 1)
     traj = heat_trajectory(u, times)
     idx = critical_index(p, p)
@@ -239,8 +245,8 @@ def _cmd_expand(cfg, seed, out_dir) -> dict:
     elif mode == "duhamel":
         n_terms = cfg.getint("expand", "n_terms", fallback=2)
         p = cfg.getfloat("expand", "p", fallback=10.0)
-        traj, report = picard_solve(u0, scfg, critical_index(p, p))
-        if report.classification == "picard_diverged":
+        traj, _, converged = solve(u0, scfg, p)
+        if not converged:
             return {"_numerical_failure": True, "classification": "picard_diverged"}
         result = duhamel_expand(traj, u0, n_terms, p=p)
     else:
@@ -257,8 +263,8 @@ def _cmd_iterate(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     u0 = _field(cfg, grid, seed)
     scfg = _solver_config(cfg)
-    traj, report = picard_solve(u0, scfg, critical_index(3, 3))
-    if report.classification == "picard_diverged":
+    traj, _, converged = solve(u0, scfg)
+    if not converged:
         return {"_numerical_failure": True, "classification": "picard_diverged"}
     v0 = heat_trajectory(u0, traj.times)
     w0 = bilinear_B(traj, traj)

@@ -17,8 +17,7 @@ import numpy as np
 from .errors import InversionError
 from .field import SpectralField, Trajectory, _from_box
 from .grid import wavenumber_sq
-from .littlewood_paley import critical_index
-from .solver import SolverConfig, bilinear_B, heat_trajectory, nonlinear_term, picard_solve
+from .solver import SolverConfig, bilinear_B, heat_trajectory, nonlinear_term, solve
 from .spacetime import _spatial_lp, _time_norms, script_norm
 
 
@@ -216,8 +215,8 @@ def expand_solution(u0: SpectralField, k: int, cfg: SolverConfig) -> ExpansionRe
     The residual measures the reconstruction against the Picard solution.
     """
     p = 3.0 * 2**k - 2.0
-    u, report = picard_solve(u0, cfg, critical_index(p, p))
-    if report.classification == "picard_diverged":
+    u, _, converged = solve(u0, cfg, p)
+    if not converged:
         raise InversionError("base Picard solve diverged; datum too large")
     terms = [heat_trajectory(u0, u.times)]
     w = bilinear_B(u, u)

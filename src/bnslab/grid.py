@@ -40,8 +40,8 @@ class GridSpec:
     def __post_init__(self):
         if not _is_power_of_two(self.n_points) or self.n_points < 16:
             raise GridError(f"n_points must be a power of two >= 16, got {self.n_points}")
-        if self.period <= 0:
-            raise GridError("period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise GridError(f"period must be finite and positive, got {self.period}")
         if self.j_max == -1:
             # default: widest range allowed by the Nyquist constraint
             object.__setattr__(self, "j_max", int(math.log2(self.n_points)) - 2)

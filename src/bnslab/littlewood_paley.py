@@ -40,7 +40,7 @@ class BesovIndex:
     q: float
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+        if not (self.p >= 1 and self.q >= 1):
             raise ValueError(f"integrability indices must be >= 1, got p={self.p} q={self.q}")
 
 

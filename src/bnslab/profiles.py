@@ -28,7 +28,7 @@ from .field import SpectralField, _Field, _real_physical, dyadic_shift
 from .grid import GridSpec, TWO_PI, wavevectors
 from .littlewood_paley import (BesovIndex, _blocks, besov_norm, block_lp_norms,
                                critical_index)
-from .solver import SolverConfig, heat_trajectory, picard_solve
+from .solver import SolverConfig, heat_trajectory, solve
 from .spacetime import script_norm
 
 
@@ -343,15 +343,15 @@ def evolve_decomposition(ps: ProfileSet, cfg: SolverConfig, n: int,
     """
     J = ps.n_profiles() if J is None else J
     f_n = synthesize(ps, n, J, p=p, normalization="ns")
-    u_n, rep = picard_solve(f_n, cfg, critical_index(p, p))
-    if rep.classification == "picard_diverged":
+    u_n, _, converged = solve(f_n, cfg, p)
+    if not converged:
         return {"diverged": True, "r_norm": math.inf, "n": n}
     total = None
     for j in range(min(J, ps.n_profiles())):
         sc = ps.schedules[j][n]
         sub_cfg = replace(cfg, dt=cfg.dt / sc.lam**2)
-        U_j, rep_j = picard_solve(ps.profiles[j], sub_cfg, critical_index(p, p))
-        if rep_j.classification == "picard_diverged":
+        U_j, _, converged = solve(ps.profiles[j], sub_cfg, p)
+        if not converged:
             return {"diverged": True, "r_norm": math.inf, "n": n,
                     "which": j}
         # Lambda U_j(t/lambda^2) on the dilated time grid.  Modes leaving

@@ -1,5 +1,8 @@
-"""Mild-solution machinery: the bilinear Duhamel operator B, the Picard
-fixed-point solver, and the perturbed solver.
+"""Mild-solution machinery: the bilinear Duhamel operator B and one Picard
+solver, `solve`, for w = e^{tL}w0 + B(w,w) + 2B_sigma(v,w) + H(f) with
+optional drifts v and forcings f.  It returns the trajectory, the residuals
+and whether the iteration converged; `picard_solve` is `solve` followed by
+`monitor`, the norm report that `bnslab solve` writes.
 
 Time integrals against the heat kernel use an exponential-integrator
 trapezoid: over each step the nonlinearity is interpolated linearly and
@@ -34,15 +37,16 @@ class SolverConfig:
     max_picard_iters: int = 40
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.max_picard_iters < 1:
             raise ValueError(
                 f"max_picard_iters must be >= 1, got {self.max_picard_iters}")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
+        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0):
+            raise ValueError(
+                f"picard_tol must be finite and positive, got {self.picard_tol}")
 
     @property
     def times(self) -> np.ndarray:
@@ -161,42 +165,45 @@ def forcing_integral(f: Trajectory) -> Trajectory:
 
 # -- Picard solver -----------------------------------------------------------
 
-def _picard(base: Trajectory, step, cfg: SolverConfig,
-            p: float) -> tuple[Trajectory, list[float], bool]:
-    """Iterate u <- step(u) from u = base.
+def solve(w0: SpectralField, cfg: SolverConfig, p: float = 3.0,
+          drifts=(), forcings=()) -> tuple[Trajectory, list[float], bool]:
+    """Iterate w <- e^{tL}w0 + H(f) + B(w,w) + 2B_sigma(v,w) from the base
+    e^{tL}w0 + H(f), where v is the sum of the drift trajectories and f the
+    sum of the forcings (spectral divergence-of-tensor data).
 
-    The residual of each update is its script 1:inf norm relative to the
-    norm of base.  Returns (last iterate, residuals, converged): a residual
-    below picard_tol converges, a non-finite one or one above 1e6 diverges,
-    and so does an exhausted budget.
+    The residual of each update is its script 1:inf norm at integrability p
+    relative to the norm of the base.  Returns (last iterate, residuals,
+    converged): a residual below picard_tol converges, a non-finite one or
+    one above 1e6 diverges, and so does an exhausted budget.
     """
+    base = heat_trajectory(w0, cfg.times)
+    if forcings:
+        base = base + forcing_integral(sum(forcings[1:], forcings[0]))
+    v = sum(drifts[1:], drifts[0]) if drifts else None
     scale = max(script_norm(base, 1.0, math.inf, p), 1e-300)
-    u = base
+    w = base
     residuals: list[float] = []
     for _ in range(cfg.max_picard_iters):
-        u_next = step(u)
-        res = script_norm(u_next - u, 1.0, math.inf, p) / scale
+        w_next = base + bilinear_B(w, w)
+        if v is not None:
+            w_next = w_next + 2.0 * bilinear_B(v, w)
+        res = script_norm(w_next - w, 1.0, math.inf, p) / scale
         residuals.append(res)
-        u = u_next
+        w = w_next
         if not math.isfinite(res) or res > 1e6:
-            return u, residuals, False
+            return w, residuals, False
         if res < cfg.picard_tol:
-            return u, residuals, True
-    return u, residuals, False
+            return w, residuals, True
+    return w, residuals, False
 
 
 def picard_solve(
     u0: SpectralField, cfg: SolverConfig, idx: BesovIndex | None = None,
 ) -> tuple[Trajectory, BlowupReport]:
-    """Iterate u <- e^{t Laplacian}u0 + B(u,u) over the whole window.
-
-    Stops when the script-norm of the update falls below picard_tol
-    relative to the iterate's norm, or reports picard_diverged.
-    """
+    """`solve` at integrability idx.p followed by `monitor`: the solution of
+    u = e^{tL}u0 + B(u,u) with its norm report."""
     idx = idx if idx is not None else critical_index(3.0, 3.0)
-    u_lin = heat_trajectory(u0, cfg.times)
-    u, residuals, converged = _picard(
-        u_lin, lambda u: u_lin + bilinear_B(u, u), cfg, idx.p)
+    u, residuals, converged = solve(u0, cfg, idx.p)
     return u, monitor(u, idx, residuals=residuals, diverged=not converged)
 
 
@@ -216,39 +223,6 @@ def monitor(traj: Trajectory, idx: BesovIndex, residuals=None,
     else:
         cls = "decaying"
     return BlowupReport(traj.times, besov, running, cls, list(residuals))
-
-
-def solve_perturbed(
-    w0: SpectralField,
-    cfg: SolverConfig,
-    drifts: list[Trajectory] = (),
-    forcings: list[Trajectory] = (),
-) -> tuple[Trajectory, bool]:
-    """Solve w = e^{tL}w0 + B(w,w) + 2B_sigma(v, w) + H(f) by Picard.
-
-    v is the sum of the drift trajectories, f the sum of the forcings
-    (spectral divergence-of-tensor data).  Returns (trajectory, converged);
-    residuals are measured at spatial integrability p = 3.
-    """
-    times = cfg.times
-    base = heat_trajectory(w0, times)
-    v = None
-    for d in drifts:
-        v = d if v is None else v + d
-    if forcings:
-        f = forcings[0]
-        for extra in forcings[1:]:
-            f = f + extra
-        base = base + forcing_integral(f)
-
-    def step(w: Trajectory) -> Trajectory:
-        w_next = base + bilinear_B(w, w)
-        if v is not None:
-            w_next = w_next + 2.0 * bilinear_B(v, w)
-        return w_next
-
-    w, _, converged = _picard(base, step, cfg, 3.0)
-    return w, converged
 
 
 # -- diagnostics --------------------------------------------------------------

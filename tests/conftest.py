@@ -6,6 +6,7 @@ to one evaluation per run.
 import numpy as np
 import pytest
 
+from bnslab import solver, spacetime
 from bnslab.field import random_band_limited
 from bnslab.grid import GridSpec
 from bnslab.solver import SolverConfig, picard_solve
@@ -39,6 +40,29 @@ def solved_small(u_small):
     traj, report = picard_solve(u_small, cfg)
     assert report.classification != "picard_diverged"
     return traj, report, cfg
+
+
+@pytest.fixture
+def no_monitor(monkeypatch):
+    """Make `solver.monitor` raise: callers that read only convergence
+    must not build the norm report."""
+    def fail(*args, **kwargs):
+        raise AssertionError("monitor called")
+    monkeypatch.setattr(solver, "monitor", fail)
+
+
+@pytest.fixture
+def block_matrices(monkeypatch):
+    """Count the block-norm matrices built through `spacetime`; the
+    returned list grows by one entry per matrix."""
+    calls = []
+    engine = spacetime.block_lp_norms
+
+    def counted(u, p):
+        calls.append(p)
+        return engine(u, p)
+    monkeypatch.setattr(spacetime, "block_lp_norms", counted)
+    return calls
 
 
 def rng_fields(grid, count, j_lo=0, j_hi=2, amplitude=0.1, seed0=100):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bnslab.cli import main
-from bnslab.field import SpectralField, random_band_limited
+from bnslab.field import SpectralField, random_band_limited, set_threads
 from bnslab.grid import GridSpec
 from bnslab.littlewood_paley import critical_index
 from bnslab.profiles import ProfileSet, ScaleCore, pythagorean_gap
@@ -81,6 +81,23 @@ def test_solve_success(tmp_path):
     assert rows[1].endswith("decaying")
 
 
+def test_solve_same_bytes_for_any_thread_count(tmp_path):
+    body = SOLVE + "[output]\nwrite_trajectory = true\n"
+    try:
+        outs = [run(tmp_path, f"solve__t{n}", body, "--seed", "4", "--threads", str(n))
+                for n in (1, 2)]
+    finally:
+        set_threads(0)
+    assert [code for code, _ in outs] == [0, 0]
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+             for _, out in outs]
+    assert files[0] == files[1]
+    assert {"report.csv", "manifest.json", "trajectory/times.csv"} <= {
+        str(f) for f in files[0]}
+    for f in files[0]:
+        assert (outs[0][1] / f).read_bytes() == (outs[1][1] / f).read_bytes(), f
+
+
 def test_exit_2_on_bad_config(tmp_path):
     code, _ = run(tmp_path, "norms", "[grid]\nn_points = 17\n")
     assert code == 2
@@ -102,6 +119,25 @@ def test_exit_2_on_bad_step_count(tmp_path, setting):
     body = SOLVE.replace("n_steps = 8", setting)
     code, _ = run(tmp_path, "solve", body, "--seed", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("command, body, key", [
+    ("solve", SOLVE + "picard_tol = nan\n", "picard_tol"),
+    ("solve", SOLVE.replace("dt = 0.01", "dt = inf"), "dt"),
+    ("generate-field", GEN.replace("amplitude = 0.3", "amplitude = nan"), "amplitude"),
+    ("generate-field", GEN.replace("n_points = 32", "n_points = 32\nperiod = nan"),
+     "period"),
+    ("norms", GEN + "[norms]\nn_steps = -1\n", "n_steps"),
+    ("norms", GEN + "[norms]\nt_final = inf\n", "t_final"),
+    ("norms", GEN + "[norms]\nt_final = 0\n", "t_final"),
+    ("norms", GEN + "[norms]\np = nan\n", "p=nan"),
+], ids=["picard_tol", "dt", "amplitude", "period", "n_steps", "t_final_inf",
+        "t_final_0", "p"])
+def test_exit_2_on_bad_number(tmp_path, capsys, command, body, key):
+    code, _ = run(tmp_path, command, body, "--seed", "4")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
 
 
 def test_exit_2_on_non_finite_snapshot(tmp_path):
@@ -174,7 +210,7 @@ def test_exit_3_on_divergence(tmp_path):
     assert (out / "error.csv").exists()
 
 
-def test_expand_command(tmp_path):
+def test_expand_command(tmp_path, no_monitor):
     body = SOLVE.replace("amplitude = 0.3", "amplitude = 0.05") + (
         "[expand]\nmode = duhamel\nn_terms = 2\n")
     code, out = run(tmp_path, "expand", body, "--seed", "4")
@@ -183,7 +219,7 @@ def test_expand_command(tmp_path):
     assert "residual" in report
 
 
-def test_iterate_command(tmp_path):
+def test_iterate_command(tmp_path, no_monitor):
     body = SOLVE.replace("amplitude = 0.3", "amplitude = 0.05") + (
         "[iterate]\nj_steps = 3\n")
     code, out = run(tmp_path, "iterate", body, "--seed", "4")

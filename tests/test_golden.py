@@ -1,7 +1,7 @@
 """Golden outputs: fixed-seed results of the solver, the K[v] inversion,
-the perturbed solver, profile extraction, the paraproduct checks, the
-evolved decomposition and the space-time norm family, all at 32^3,
-against `golden/golden.json`.
+the solver with a drift and a forcing, profile extraction, the
+paraproduct checks, the evolved decomposition and the space-time norm
+family, all at 32^3, against `golden/golden.json`.
 
 Each case returns three groups of values:
 
@@ -33,8 +33,7 @@ from bnslab.paraproduct import (bony_reconstruction_defect,
                                 product_estimate_check)
 from bnslab.profiles import (ProfileSet, ScaleCore, evolve_decomposition,
                              extract_profiles, synthesize)
-from bnslab.solver import (SolverConfig, bilinear_B, heat_trajectory,
-                           picard_solve, solve_perturbed)
+from bnslab.solver import SolverConfig, bilinear_B, heat_trajectory, picard_solve, solve
 from bnslab.spacetime import (SpaceTimeNormSpec, Trajectory,
                               embedding_chain_check, evaluate,
                               kato_interpolation_constant, script_norm)
@@ -89,7 +88,7 @@ def case_perturbed(grid):
     coeffs = np.broadcast_to(f0.coeffs, (len(cfg.times),) + f0.coeffs.shape).copy()
     coeffs[:, :, 0, 0, 0] = [0.3, -0.2, 0.1]
     forcing = Trajectory(grid, cfg.times, coeffs)
-    w, converged = solve_perturbed(w0, cfg, drifts=[drift], forcings=[forcing])
+    w, _, converged = solve(w0, cfg, drifts=[drift], forcings=[forcing])
     idx = critical_index(3.0, 3.0)
     return {
         "exact": {"converged": converged,
@@ -216,6 +215,13 @@ def test_golden(name):
         assert _close(got["rel"][key], value, REL, 0.0), (key, got["rel"][key], value)
     for key, value in want["abs"].items():
         assert _close(got["abs"][key], value, 0.0, ABS), (key, got["abs"][key], value)
+
+
+def test_evolve_builds_no_report(no_monitor, block_matrices):
+    # the three solves read only convergence, so none of them builds the
+    # report's block-norm matrix (16 matrices when each one did)
+    assert not case_evolve(GridSpec(32))["exact"]["diverged"]
+    assert len(block_matrices) == 13
 
 
 def _record(commit: str) -> None:

@@ -19,7 +19,7 @@ from bnslab.grid import GridSpec, dealias_mask, wavenumber_sq, wavevectors
 from bnslab.littlewood_paley import besov_norm, critical_index
 from bnslab.solver import (SolverConfig, _etd_weights, bilinear_B,
                            energy_balance_defect, forcing_integral, heat_trajectory,
-                           monitor, nonlinear_term, picard_solve, solve_perturbed)
+                           monitor, nonlinear_term, picard_solve, solve)
 from bnslab.spacetime import constant_trajectory, rescale_trajectory, script_norm
 
 
@@ -235,15 +235,15 @@ def test_running_script_is_script_norm_on_prefix(grid, kind):
         assert rep.running_script[i] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def test_solve_perturbed_reduces_to_picard(grid):
-    # with no drift and no forcing, the perturbed solver is plain Picard
+def test_solve_reduces_to_picard(grid):
+    # with no drift and no forcing, solve is picard_solve without its report
     u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=49, amplitude=0.05)
     cfg = SolverConfig(dt=0.01, n_steps=8)
-    w, ok = solve_perturbed(u0, cfg)
+    w, residuals, ok = solve(u0, cfg)
     assert ok
-    traj, _ = picard_solve(u0, cfg)
-    defect = script_norm(w - traj, 1.0, math.inf, 3.0)
-    assert defect < 1e-6 * script_norm(traj, 1.0, math.inf, 3.0)
+    traj, rep = picard_solve(u0, cfg)
+    np.testing.assert_array_equal(w.coeffs, traj.coeffs)
+    assert residuals == rep.picard_residuals
 
 
 def test_report_rows_format(solved_small):
