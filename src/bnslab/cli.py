@@ -172,6 +172,14 @@ def _solver_config(cfg) -> SolverConfig:
     )
 
 
+def _exponent(cfg, section: str, key: str, fallback: float) -> float:
+    """The integrability exponent [section] key: finite and at least 1."""
+    p = cfg.getfloat(section, key, fallback=fallback)
+    if not (math.isfinite(p) and p >= 1):
+        raise ConfigError(f"[{section}] {key}={p} must be finite and >= 1")
+    return p
+
+
 def _write_report(out_dir: Path, text: str, name: str = "report.csv") -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text + "\n")
@@ -191,8 +199,8 @@ def _cmd_generate_field(cfg, seed, out_dir) -> dict:
 def _cmd_norms(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     u = _field(cfg, grid, seed)
-    p = cfg.getfloat("norms", "p", fallback=3.0)
-    q = cfg.getfloat("norms", "q", fallback=6.0)
+    p = _exponent(cfg, "norms", "p", 3.0)
+    q = _exponent(cfg, "norms", "q", 6.0)
     t_final = cfg.getfloat("norms", "t_final", fallback=0.5)
     n_steps = cfg.getint("norms", "n_steps", fallback=32)
     if not (math.isfinite(t_final) and t_final > 0):
@@ -221,7 +229,7 @@ def _cmd_solve(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     u0 = _field(cfg, grid, seed)
     scfg = _solver_config(cfg)
-    p = cfg.getfloat("solver", "monitor_p", fallback=3.0)
+    p = _exponent(cfg, "solver", "monitor_p", 3.0)
     traj, report = picard_solve(u0, scfg, critical_index(p, p))
     _write_report(out_dir, report.rows())
     if cfg.getboolean("output", "write_trajectory", fallback=False):
@@ -244,7 +252,7 @@ def _cmd_expand(cfg, seed, out_dir) -> dict:
         result = expand_solution(u0, k, scfg)
     elif mode == "duhamel":
         n_terms = cfg.getint("expand", "n_terms", fallback=2)
-        p = cfg.getfloat("expand", "p", fallback=10.0)
+        p = _exponent(cfg, "expand", "p", 10.0)
         traj, _, converged = solve(u0, scfg, p)
         if not converged:
             return {"_numerical_failure": True, "classification": "picard_diverged"}
@@ -285,7 +293,7 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
                                     fallback=" ".join("0" for _ in ms)).split()]
     if len(seps) != len(ms):
         raise ConfigError("m_sweep and sep_sweep must have equal length")
-    p = cfg.getfloat("profiles", "p", fallback=3.0)
+    p = _exponent(cfg, "profiles", "p", 3.0)
     idx = critical_index(p, p)
     scheds2 = tuple(ScaleCore(m, (s, s, s)) for m, s in zip(ms, seps))
     ps = ProfileSet(profiles=(phi1, phi2),

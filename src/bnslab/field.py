@@ -11,12 +11,16 @@ representation: a `SpectralField` holds one (3, N, N, N) array and a
 just a leading axis.  Both share one arithmetic, one compatibility check
 and the defect checks, and every coefficient operator here acts on any
 leading axes and returns the type of its input.  The FFTs, the Leray
-projection and the FFT worker count live here and nowhere else.
+projection and the one thread setting, `set_threads`, live here and
+nowhere else; it also sizes the level pool that `_map` runs tasks on.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,12 +30,50 @@ from .errors import GridError, ResolutionError
 from .grid import GridSpec, TWO_PI, dealias_mask, wavenumber_sq, wavevectors
 
 _WORKERS = -1  # let scipy.fft use all cores
+_POOL: ThreadPoolExecutor | None = None  # the level pool of `_map`, built on first use
+_POOL_LOCK = threading.Lock()
+_TASK = threading.local()  # `workers` is 1 in the level pool's threads
 
 
 def set_threads(n: int) -> None:
-    """Cap the FFT worker pool package-wide (n <= 0 means all cores)."""
-    global _WORKERS
+    """Cap the package's threads at n (n <= 0 means all cores): the FFT
+    workers of a transform outside the level pool, and the pool's size."""
+    global _WORKERS, _POOL
     _WORKERS = n if n > 0 else -1
+    with _POOL_LOCK:
+        if _POOL is not None:
+            _POOL.shutdown()
+        _POOL = None
+
+
+def _forget_pool() -> None:
+    """A forked child inherits the pool and its lock but none of its threads."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _workers() -> int:
+    return getattr(_TASK, "workers", _WORKERS)
+
+
+def _map(fn, items) -> list:
+    """[fn(x) for x in items], one task per item on the level pool, whose
+    transforms use one worker each.  Inline, starting no thread, under
+    set_threads(1), for one item and inside a task (nesting cannot
+    deadlock); a task's exception reaches the caller."""
+    global _POOL
+    items = list(items)
+    n = _WORKERS if _WORKERS > 0 else len(os.sched_getaffinity(0))
+    if n == 1 or len(items) < 2 or hasattr(_TASK, "workers"):
+        return [fn(x) for x in items]
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(n, initializer=setattr, initargs=(_TASK, "workers", 1))
+        pool = _POOL
+    return list(pool.map(fn, items))
 
 
 # -- the transforms -----------------------------------------------------------
@@ -40,17 +82,17 @@ def set_threads(n: int) -> None:
 
 def _to_spectral(phys: np.ndarray) -> np.ndarray:
     """Coefficients of real-space sample arrays."""
-    return sfft.fftn(phys, axes=(-3, -2, -1), norm="forward", workers=_WORKERS)
+    return sfft.fftn(phys, axes=(-3, -2, -1), norm="forward", workers=_workers())
 
 
 def _box_spectral(phys: np.ndarray, k: int) -> np.ndarray:
     """Coefficients of real samples on the dealiased box of `grid.dealias_box`
     in three pruned passes: the real z transform keeping k + 1 planes, y over
     those keeping 2k + 1 lines, then x over those keeping 2k + 1 rows."""
-    zs = sfft.rfftn(phys, axes=(-1,), norm="forward", workers=_WORKERS)[..., : k + 1]
-    ys = sfft.fftn(zs, axes=(-2,), norm="forward", workers=_WORKERS)
+    zs = sfft.rfftn(phys, axes=(-1,), norm="forward", workers=_workers())[..., : k + 1]
+    ys = sfft.fftn(zs, axes=(-2,), norm="forward", workers=_workers())
     ys = np.concatenate((ys[..., : k + 1, :], ys[..., -k:, :]), axis=-2)
-    xs = sfft.fftn(ys, axes=(-3,), norm="forward", workers=_WORKERS, overwrite_x=True)
+    xs = sfft.fftn(ys, axes=(-3,), norm="forward", workers=_workers(), overwrite_x=True)
     return np.concatenate((xs[..., : k + 1, :, :], xs[..., -k:, :, :]), axis=-3)
 
 
@@ -80,15 +122,15 @@ def _real_physical(half: np.ndarray, n: int, rows: np.ndarray | None = None) -> 
     the real z pass."""
     if rows is None:
         return sfft.irfftn(half[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
-                           norm="forward", workers=_WORKERS)
+                           norm="forward", workers=_workers())
     lead, nz = half.shape[:-3], half.shape[-1]
     buf = np.zeros(lead + (n, len(rows), nz), dtype=complex)
     buf[..., rows, :, :] = half
-    xs = sfft.ifftn(buf, axes=(-3,), norm="forward", workers=_WORKERS, overwrite_x=True)
+    xs = sfft.ifftn(buf, axes=(-3,), norm="forward", workers=_workers(), overwrite_x=True)
     buf = np.zeros(lead + (n, n, nz), dtype=complex)
     buf[..., rows, :] = xs
-    ys = sfft.ifftn(buf, axes=(-2,), norm="forward", workers=_WORKERS, overwrite_x=True)
-    return sfft.irfftn(ys, s=(n,), axes=(-1,), norm="forward", workers=_WORKERS)
+    ys = sfft.ifftn(buf, axes=(-2,), norm="forward", workers=_workers(), overwrite_x=True)
+    return sfft.irfftn(ys, s=(n,), axes=(-1,), norm="forward", workers=_workers())
 
 
 class _Field:

@@ -15,7 +15,9 @@ delta_j vanishes exactly outside |n_i| <= K (K read from the multiplier),
 so when 2(2K+1) <= N the inverse skips lines that hold only zeros
 (Sorensen & Burrus 1993): x over the (2K+1)(K+1) occupied y-z lines, y
 over N(K+1), then the real z pass.  Wider shells take the plain
-`irfftn`, where pruning saves no work but costs memory.
+`irfftn`, where pruning saves no work but costs memory.  The time levels
+of a trajectory are independent, so the engine runs one level per task on
+the level pool of `field._map`; one field's shells stay on one thread.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, _real_physical, lp_norm
+from .field import SpectralField, _map, _real_physical, lp_norm
 from .grid import GridSpec, _support_box, low_pass_multipliers, shell_index, shell_multipliers
 
 
@@ -113,17 +115,19 @@ def block_lp_norms(u, p: float) -> np.ndarray:
     """||Delta_j u||_{L^p} for the resolved shells, shaped coeffs.shape[:-4]
     + (n_shells,) for any real u with a `.grid` and `.coeffs` (..., 3, N,
     N, N), e.g. a field or a trajectory.  Blocks come from `_blocks`; p = 2
-    takes Parseval sums instead (see the module docstring)."""
+    takes Parseval sums instead, one task per time level (module docstring)."""
     grid = u.grid
     norm = functools.partial(lp_norm, grid=grid, p=p)  # map drops each block once normed
-    out = np.empty(u.coeffs.shape[:-4] + (grid.n_shells,))
-    for i in np.ndindex(out.shape[:-1]):
+
+    def level(c):
         if p == 2.0:
-            out[i] = [math.sqrt(grid.period**3 * float(np.sum(w)))
-                      for w in _block_energies(u.coeffs[i], grid)]
-        else:
-            out[i] = list(map(norm, _blocks(u.coeffs[i], grid)))
-    return out
+            return [math.sqrt(grid.period**3 * float(np.sum(w)))
+                    for w in _block_energies(c, grid)]
+        return list(map(norm, _blocks(c, grid)))
+
+    lead = u.coeffs.shape[:-4]
+    rows = _map(level, (u.coeffs[i] for i in np.ndindex(lead)))
+    return np.array(rows, dtype=float).reshape(lead + (grid.n_shells,))
 
 
 def besov_norm(u: SpectralField, idx: BesovIndex) -> float:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridError
-from .field import (SpectralField, Trajectory, _box_spectral, _from_box, _project,
-                    _real_physical, leray_project)
+from .field import (SpectralField, Trajectory, _box_spectral, _from_box, _map,
+                    _project, _real_physical, leray_project)
 from .grid import TWO_PI, dealias_box, wavenumber_sq
 from .littlewood_paley import BesovIndex, besov_from_blocks, critical_index
 from .spacetime import _script_prefix, block_norm_matrix, script_norm
@@ -95,25 +95,31 @@ def nonlinear_term(u: Trajectory, v: Trajectory) -> np.ndarray:
     The symmetrized tensor product is formed pointwise in physical space
     and dealiased by the spherical 2/3 rule (|n| < N/3, so |n_i| <= K) before
     differentiation; the k_z < 0 half of the real product mirrors the box.
+    Each time level is one task on the level pool of `field._map` and fills
+    its own slice of g, so no physical array holds more than one level.
     """
     if u.grid != v.grid:
         raise GridError("trajectories live on different grids")
     grid = u.grid
     n = grid.n_points
     K, nn, _, mask = dealias_box(grid)
-    up = _real_physical(u.coeffs, n)
-    vp = up if v is u else _real_physical(v.coeffs, n)
     k = nn * (TWO_PI / grid.period)
     g = np.zeros((u.n_times, 3) + mask.shape, dtype=np.complex128)
-    for a in range(3):
-        for b in range(a, 3):
-            tab = (up[:, a] * up[:, b] if v is u
-                   else 0.5 * (up[:, a] * vp[:, b] + vp[:, a] * up[:, b]))
-            that = _box_spectral(tab, K) * mask
-            g[:, a] += 1j * k[b] * that
-            if b != a:
-                g[:, b] += 1j * k[a] * that
-    _project(nn, g)
+
+    def level(i: int) -> None:
+        up = _real_physical(u.coeffs[i], n)
+        vp = up if v is u else _real_physical(v.coeffs[i], n)
+        for a in range(3):
+            for b in range(a, 3):
+                tab = (up[a] * up[b] if v is u
+                       else 0.5 * (up[a] * vp[b] + vp[a] * up[b]))
+                that = _box_spectral(tab, K) * mask
+                g[i, a] += 1j * k[b] * that
+                if b != a:
+                    g[i, b] += 1j * k[a] * that
+        _project(nn, g[i])
+
+    _map(level, range(u.n_times))
     return g
 
 
@@ -184,10 +190,13 @@ def solve(w0: SpectralField, cfg: SolverConfig, p: float = 3.0,
     w = base
     residuals: list[float] = []
     for _ in range(cfg.max_picard_iters):
-        w_next = base + bilinear_B(w, w)
+        w_next = bilinear_B(w, w)  # must be a fresh array: the update is summed into it
+        np.add(base.coeffs, w_next.coeffs, out=w_next.coeffs)
         if v is not None:
-            w_next = w_next + 2.0 * bilinear_B(v, w)
-        res = script_norm(w_next - w, 1.0, math.inf, p) / scale
+            np.add(w_next.coeffs, 2.0 * bilinear_B(v, w).coeffs, out=w_next.coeffs)
+        if w is not base:  # the retired iterate's buffer takes the update
+            np.subtract(w_next.coeffs, w.coeffs, out=w.coeffs)
+        res = script_norm(w if w is not base else w_next - base, 1.0, math.inf, p) / scale
         residuals.append(res)
         w = w_next
         if not math.isfinite(res) or res > 1e6:

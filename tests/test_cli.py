@@ -131,8 +131,12 @@ def test_exit_2_on_bad_step_count(tmp_path, setting):
     ("norms", GEN + "[norms]\nt_final = inf\n", "t_final"),
     ("norms", GEN + "[norms]\nt_final = 0\n", "t_final"),
     ("norms", GEN + "[norms]\np = nan\n", "p=nan"),
+    ("norms", GEN + "[norms]\nq = 0.5\n", "[norms] q"),
+    ("solve", SOLVE + "monitor_p = inf\n", "[solver] monitor_p"),
+    ("expand", SOLVE + "[expand]\nmode = duhamel\np = nan\n", "[expand] p"),
+    ("profiles", GEN + "[profiles]\np = nan\n", "[profiles] p"),
 ], ids=["picard_tol", "dt", "amplitude", "period", "n_steps", "t_final_inf",
-        "t_final_0", "p"])
+        "t_final_0", "p", "norms_q", "monitor_p", "expand_p", "profiles_p"])
 def test_exit_2_on_bad_number(tmp_path, capsys, command, body, key):
     code, _ = run(tmp_path, command, body, "--seed", "4")
     assert code == 2

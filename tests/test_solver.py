@@ -7,6 +7,7 @@ formula kept in this file; equivariance against the exact rescaling of a
 converged solution; energy balance against the L^2 identity.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ def test_solve_reduces_to_picard(grid):
     traj, rep = picard_solve(u0, cfg)
     np.testing.assert_array_equal(w.coeffs, traj.coeffs)
     assert residuals == rep.picard_residuals
+
+
+def test_picard_update_holds_three_trajectories(grid):
+    """The traced peak of a 17-level solve stays under 3.5 trajectories:
+    base, the iterate and the update summed into B's fresh array, with the
+    step written over the retired iterate (4.09 when each sum allocates)."""
+    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=49, amplitude=0.05)
+    cfg = SolverConfig(dt=0.005, n_steps=16)
+    tracemalloc.start()
+    try:
+        _, residuals, ok = solve(u0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and len(residuals) >= 2
+    trajectory = 17 * u0.coeffs.nbytes
+    assert peak <= 3.5 * trajectory, peak / trajectory
 
 
 def test_report_rows_format(solved_small):

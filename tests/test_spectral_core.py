@@ -11,15 +11,20 @@ and that solenoidality and dealiasing are not switches.
 """
 import ast
 import math
+import os
+import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.fft
 
-from bnslab.field import random_band_limited, set_threads
+from bnslab.field import _map, random_band_limited, set_threads
 from bnslab.grid import GridSpec
 from bnslab.profiles import _align_core
-from bnslab.solver import bilinear_B, heat_trajectory, nonlinear_term
+from bnslab.solver import SolverConfig, bilinear_B, heat_trajectory, nonlinear_term, solve
 from bnslab.spacetime import block_norm_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bnslab"
@@ -30,28 +35,126 @@ FLOPS_PER_POINT = {"fftn": 5.0, "ifftn": 5.0, "rfftn": 2.5, "irfftn": 2.5}
 
 
 def test_set_threads_caps_every_transform(monkeypatch):
-    workers = []
+    calls = []  # (workers, thread) of each transform
     for name in TRANSFORMS:
         def recording(*args, _fn=getattr(scipy.fft, name), **kwargs):
-            workers.append(kwargs.get("workers"))
+            calls.append((kwargs.get("workers"), threading.get_ident()))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, recording)
     grid = GridSpec(32)
     u = random_band_limited(grid, j_lo=0, j_hi=2, seed=5)
-    traj = heat_trajectory(u, np.array([0.0, 0.01]))
+    traj = heat_trajectory(u, np.linspace(0.0, 0.02, 6))
     paths = {
         "SpectralField.physical": u.physical,
         "block_norm_matrix": lambda: block_norm_matrix(traj, 3.0),
         "nonlinear_term": lambda: nonlinear_term(traj, traj),
         "profile core alignment": lambda: _align_core(u, u, 0, 3.0),
     }
-    set_threads(1)
+    serial = {}
     try:
+        set_threads(1)
         for name, run in paths.items():
-            workers.clear()
-            run()
-            assert workers, f"{name} made no scipy.fft transform"
-            assert set(workers) == {1}, (name, workers)
+            calls.clear()
+            serial[name] = run()
+            assert calls, f"{name} made no scipy.fft transform"
+            assert {w for w, _ in calls} == {1}, (name, calls)
+        # the level pool: levels on pool threads, one transform worker each
+        set_threads(2)
+        for name in ("block_norm_matrix", "nonlinear_term"):
+            calls.clear()
+            assert paths[name]().tobytes() == serial[name].tobytes(), name
+            assert {w for w, _ in calls} == {1}, (name, calls)
+            threads = {t for _, t in calls}
+            assert len(threads) >= 2 and threading.get_ident() not in threads, name
+    finally:
+        set_threads(0)
+
+
+def test_level_pool_gives_the_same_bits():
+    """B(u, v) and solves with drifts or forcings: the same bytes on one
+    thread and on the level pool."""
+    grid = GridSpec(32)
+    cfg = SolverConfig(dt=0.01, n_steps=4)
+    w0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=31, amplitude=0.05)
+    drift = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=32,
+                                                amplitude=0.1), cfg.times)
+    forcing = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=33,
+                                                  amplitude=0.2, solenoidal=False),
+                              cfg.times)
+    runs = {
+        "bilinear_B(u, v)": lambda: [bilinear_B(drift, forcing)],
+        "solve with drifts": lambda: solve(w0, cfg, drifts=[drift]),
+        "solve with forcings": lambda: solve(w0, cfg, forcings=[forcing]),
+    }
+
+    def bits(result):
+        return [r.coeffs.tobytes() if hasattr(r, "coeffs") else r for r in result]
+
+    try:
+        for name, run in runs.items():
+            set_threads(1)
+            serial = bits(run())
+            set_threads(2)
+            assert bits(run()) == serial, name
+    finally:
+        set_threads(0)
+
+
+def test_level_pool_nests_inline_raises_and_restarts():
+    def where(_):
+        return threading.get_ident(), _map(lambda _: threading.get_ident(), range(3))
+
+    def fail(i):
+        raise ValueError(f"level {i}")
+
+    def pool_names():
+        return set(_map(lambda _: threading.current_thread().name, range(4)))
+
+    grid = GridSpec(32)
+    traj = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=5),
+                           np.linspace(0.0, 0.02, 4))
+    try:
+        set_threads(2)
+        for outer, inner in _map(where, range(4)):
+            assert outer != threading.get_ident() and inner == [outer] * 3
+        with pytest.raises(ValueError, match="level") as raised:
+            _map(fail, range(3))
+        assert type(raised.value) is ValueError
+        first = pool_names()
+        set_threads(2)  # drops the pool: the next call builds a new one
+        assert pool_names().isdisjoint(first)
+        set_threads(1)
+        started = threading.active_count()
+        assert _map(lambda _: threading.get_ident(), range(4)) == [threading.get_ident()] * 4
+        block_norm_matrix(traj, 3.0)
+        nonlinear_term(traj, traj)
+        assert threading.active_count() == started
+    finally:
+        set_threads(0)
+
+
+def test_level_pool_survives_fork():
+    """A child forked after the pool ran builds its own pool rather than
+    queueing tasks for threads it did not inherit."""
+    grid = GridSpec(32)
+    traj = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=5),
+                           np.linspace(0.0, 0.02, 4))
+    try:
+        set_threads(2)
+        expected = block_norm_matrix(traj, 3.0)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os._exit(0 if np.array_equal(block_norm_matrix(traj, 3.0), expected) else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0, done
     finally:
         set_threads(0)
 
