@@ -115,7 +115,7 @@ def block_lp_norms(u, p: float) -> np.ndarray:
     """||Delta_j u||_{L^p} for the resolved shells, shaped coeffs.shape[:-4]
     + (n_shells,) for any real u with a `.grid` and `.coeffs` (..., 3, N,
     N, N), e.g. a field or a trajectory.  Blocks come from `_blocks`; p = 2
-    takes Parseval sums instead, one task per time level (module docstring)."""
+    takes Parseval sums instead.  Each time level is one task (module docstring)."""
     grid = u.grid
     norm = functools.partial(lp_norm, grid=grid, p=p)  # map drops each block once normed
 
