@@ -21,23 +21,23 @@ def main():
     grid = GridSpec(args.n_points)
     idx = critical_index(6.0, math.inf)
 
-    print("# seed t_constant")
+    fields, reps = [], []
     for seed in range(args.corpus):
         f = random_band_limited(grid, j_lo=0, j_hi=2, seed=seed)
         g = random_band_limited(grid, j_lo=0, j_hi=2, seed=1000 + seed)
-        rep = product_estimate_check(f, g, s1=-0.5, t1=1.0, p=4.0, p2=4.0)
+        fields.append(f)
+        reps.append(product_estimate_check(f, g, s1=-0.5, t1=1.0, p=4.0, p2=4.0))
+
+    print("# seed t_constant")
+    for seed, rep in enumerate(reps):
         print(f"{seed} {rep['t_constant']:.6e}")
 
     print("\n\n# seed r_constant")
-    for seed in range(args.corpus):
-        f = random_band_limited(grid, j_lo=0, j_hi=2, seed=seed)
-        g = random_band_limited(grid, j_lo=0, j_hi=2, seed=1000 + seed)
-        rep = product_estimate_check(f, g, s1=-0.5, t1=1.0, p=4.0, p2=4.0)
+    for seed, rep in enumerate(reps):
         print(f"{seed} {rep['r_constant']:.6e}")
 
     print("\n\n# seed heat_characterization_ratio")
-    for seed in range(args.corpus):
-        u = random_band_limited(grid, j_lo=0, j_hi=2, seed=seed)
+    for seed, u in enumerate(fields):
         ratio = heat_characterization_norm(u, idx) / besov_norm(u, idx)
         print(f"{seed} {ratio:.6e}")
 

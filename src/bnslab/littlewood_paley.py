@@ -3,7 +3,8 @@
 `_blocks` is the one source of block samples, one block at a time and on
 request with the trimmed tails S_{j_min} u and (Id - S_{j_max+1}) u that
 make the blocks telescope to u; the engine, the Bony split and the cross
-terms read it.  `LPBlockSet` remains only for the reconstruction check.
+terms read it.  `reconstruction_defect` checks that telescoping on the
+coefficients, holding one running sum and one block at a time.
 
 `block_lp_norms` is the one block-norm engine behind every Besov,
 Chemin-Lerner, script and Kato norm.  It never forms a full complex block,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,23 +51,18 @@ def critical_index(p: float, q: float) -> BesovIndex:
     return BesovIndex(-1.0 + 3.0 / p, p, q)
 
 
-@dataclass(frozen=True)
-class LPBlockSet:
-    grid: GridSpec
-    blocks: tuple[SpectralField, ...]  # Delta_j u, j = j_min .. j_max
-    low_tail: SpectralField  # S_{j_min} u
-    high_tail: SpectralField  # (Id - S_{j_max+1}) u
-
-    def reconstruction_defect(self, u: SpectralField) -> float:
-        diff = sum(self.blocks, self.low_tail + self.high_tail) - u
-        top = u.sup_coeff()
-        return diff.sup_coeff() / top if top > 0 else diff.sup_coeff()
-
-
-def lp_decompose(u: SpectralField) -> LPBlockSet:
-    """Full complex copies of every block and both tails."""
-    low, *blocks, high = (replace(u, coeffs=u.coeffs * m) for m in _multipliers(u.grid, True))
-    return LPBlockSet(u.grid, tuple(blocks), low, high)
+def reconstruction_defect(u: SpectralField) -> float:
+    """sup |S_{j_min} u + sum_j Delta_j u + (Id - S_{j_max+1}) u - u| over the
+    coefficients, relative to sup |u|; summed one block at a time."""
+    c = u.coeffs
+    low, *shells, high = _multipliers(u.grid, True)
+    total = c * low + c * high
+    for m in shells:
+        total += c * m
+    total -= c
+    defect = float(np.max(np.abs(total)))
+    top = u.sup_coeff()
+    return defect / top if top > 0 else defect
 
 
 def _multipliers(grid: GridSpec, tails: bool):

@@ -14,14 +14,17 @@ coefficients of a field that is not real (Hermitian defect above 1e-10)
 or not mean-zero (k = 0 coefficient above 1e-10 of the largest).
 
 Trajectories are directories holding one snapshot per time index plus a
-`times.csv` table; run manifests record config hash, seed, and package
-version so identical inputs are recognizably identical runs.
+`times.csv` table; their reader rejects a malformed, non-finite or
+non-increasing time, an empty table, a missing snapshot and mixed grids.
+Run manifests record config hash, seed, and package version so identical
+inputs are recognizably identical runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -31,7 +34,6 @@ from . import __version__
 from .errors import ConfigError
 from .field import SpectralField, Trajectory
 from .grid import GridSpec
-from .spacetime import from_fields
 
 MAGIC = b"BNSF"
 VERSION = 1
@@ -50,7 +52,10 @@ def write_field(path, u: SpectralField) -> None:
 
 def read_field(path) -> SpectralField:
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read snapshot ({exc.strerror})") from None
     if len(raw) < _HEADER.size:
         raise ConfigError(f"{path}: truncated snapshot header")
     magic, version, n_points, period, f0, f1, f2 = _HEADER.unpack_from(raw)
@@ -97,12 +102,27 @@ def read_trajectory(directory) -> Trajectory:
     if not times_file.exists():
         raise ConfigError(f"{directory}: missing times.csv")
     times = []
-    for line in times_file.read_text().splitlines()[1:]:
-        _, t = line.split(",")
-        times.append(float(t))
-    fields = [read_field(directory / f"snapshot_{i:05d}.bnsf")
-              for i in range(len(times))]
-    return from_fields(np.array(times), fields)
+    for row, line in enumerate(times_file.read_text().splitlines()[1:], start=2):
+        try:
+            _, t = line.split(",")
+            t = float(t)
+        except ValueError:
+            raise ConfigError(f"{times_file} line {row}: expected 'index,t', "
+                              f"got {line!r}") from None
+        if not (math.isfinite(t) and (not times or t > times[-1])):
+            raise ConfigError(f"{times_file} line {row}: time {t} must be finite "
+                              "and after the time above it")
+        times.append(t)
+    if not times:
+        raise ConfigError(f"{times_file}: no time rows")
+    paths = [directory / f"snapshot_{i:05d}.bnsf" for i in range(len(times))]
+    fields = [read_field(path) for path in paths]
+    for path, f in zip(paths, fields):
+        if f.grid != fields[0].grid:
+            raise ConfigError(f"{path}: grid {f.grid} differs from the first "
+                              f"snapshot's {fields[0].grid}")
+    return Trajectory(fields[0].grid, np.array(times),
+                      np.stack([f.coeffs for f in fields]))
 
 
 def config_hash(text: str) -> str:

@@ -9,22 +9,13 @@ a < 0 are evaluated from the first positive sample onward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .field import SpectralField, Trajectory, scaling_transform
 from .grid import GridSpec
 from .littlewood_paley import BesovIndex, besov_from_blocks, block_lp_norms, critical_index
-
-
-def from_fields(times, fields: list[SpectralField]) -> Trajectory:
-    times = np.asarray(times, dtype=float)
-    if len(fields) != len(times):
-        raise ValueError("times and snapshots differ in length")
-    grid = fields[0].grid
-    coeffs = np.stack([f.coeffs for f in fields])
-    return Trajectory(grid, times, coeffs)
 
 
 def constant_trajectory(u: SpectralField, times) -> Trajectory:
@@ -40,27 +31,6 @@ def rescale_trajectory(traj: Trajectory, m: int) -> Trajectory:
     divided by lambda^2 so the sampled history is the same.
     """
     return replace(scaling_transform(traj, m), times=traj.times / 4.0**m)
-
-
-@dataclass(frozen=True)
-class SpaceTimeNormSpec:
-    """kind in {lebesgue, chemin_lerner, script, kato, kato1}."""
-
-    kind: str
-    besov: BesovIndex
-    rho: float = math.inf  # time exponent (lebesgue / chemin_lerner)
-    a: float = 1.0  # script family endpoints
-    b: float = math.inf
-    t1: float = 0.0
-    t2: float = math.inf
-
-    def __post_init__(self):
-        if self.kind not in {"lebesgue", "chemin_lerner", "script", "kato", "kato1"}:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.rho < 1:
-            raise ValueError("time exponent must be >= 1")
-        if self.a > self.b:
-            raise ValueError("script norm requires a <= b")
 
 
 # -- block norm matrix -----------------------------------------------------
@@ -175,37 +145,6 @@ def kato_norm(traj: Trajectory, q: float, T: float = math.inf, order: int = 0) -
     else:
         values = _spatial_lp(part, q)
     return _kato_sup(part.times, values, q, order)
-
-
-def evaluate(traj: Trajectory, spec: SpaceTimeNormSpec) -> float:
-    """Dispatch a SpaceTimeNormSpec to the matching norm."""
-    if spec.kind == "lebesgue":
-        return lebesgue_besov_norm(traj, spec.besov, spec.rho, spec.t1, spec.t2)
-    if spec.kind == "chemin_lerner":
-        return chemin_lerner_norm(traj, spec.besov, spec.rho, spec.t1, spec.t2)
-    if spec.kind == "script":
-        return script_norm(traj, spec.a, spec.b, spec.besov.p, spec.besov.q, spec.t2)
-    if spec.kind == "kato":
-        return kato_norm(traj, spec.besov.p, spec.t2, order=0)
-    return kato_norm(traj, spec.besov.p, spec.t2, order=1)
-
-
-def report_row(traj: Trajectory, spec: SpaceTimeNormSpec) -> str:
-    """One CSV row: norm_kind, a, b, s, p, q, t1, t2, value."""
-    value = evaluate(traj, spec)
-    t2 = min(spec.t2, traj.t_final)
-    if spec.kind in ("lebesgue", "chemin_lerner"):
-        a, b = spec.rho, ""
-    elif spec.kind == "script":
-        a, b = spec.a, spec.b
-    else:
-        a, b = "", ""
-    cells = [spec.kind, a, b, spec.besov.s, spec.besov.p, spec.besov.q,
-             spec.t1, t2, value]
-    return ",".join(str(c) for c in cells)
-
-
-REPORT_HEADER = "norm_kind,a,b,s,p,q,t1,t2,value"
 
 
 # -- structural checks -----------------------------------------------------

@@ -14,7 +14,8 @@ from bnslab.expansion import (OperatorHandle, apply_L, duhamel_expand,
                               expand_solution, invert_K)
 from bnslab.field import (heat_flow, random_band_limited, scaling_transform)
 from bnslab.grid import GridSpec
-from bnslab.littlewood_paley import (besov_norm, critical_index, lp_decompose)
+from bnslab.littlewood_paley import (besov_norm, critical_index,
+                                     reconstruction_defect)
 from bnslab.paraproduct import (bilinear_kato_check, bony_reconstruction_defect,
                                 heat_block_decay_rates,
                                 heat_characterization_norm,
@@ -35,7 +36,7 @@ C0 = 0.05
 def test_criterion_01_littlewood_paley_reconstruction(grid32):
     for seed in range(50):
         u = random_band_limited(grid32, j_lo=0, j_hi=2, seed=seed)
-        defect = lp_decompose(u).reconstruction_defect(u)
+        defect = reconstruction_defect(u)
         assert defect <= 1e-10
 
 

@@ -5,6 +5,7 @@ exit-code contract (0 success, 2 config error, 3 numerical failure) is
 checked on purpose-built configs.
 """
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,12 @@ import pytest
 from bnslab.cli import main
 from bnslab.field import SpectralField, random_band_limited, set_threads
 from bnslab.grid import GridSpec
-from bnslab.littlewood_paley import critical_index
+from bnslab.littlewood_paley import besov_norm, critical_index
 from bnslab.profiles import ProfileSet, ScaleCore, pythagorean_gap
 from bnslab.snapshots import write_field
+from bnslab.solver import heat_trajectory
+from bnslab.spacetime import (chemin_lerner_norm, kato_norm, lebesgue_besov_norm,
+                              script_norm)
 
 
 def run(tmp_path, name, body, *args):
@@ -63,6 +67,29 @@ def test_norms_report(tmp_path):
     assert len(rows) > 3
     kinds = {r.split(",")[0] for r in rows[1:]}
     assert {"besov", "chemin_lerner", "kato"} <= kinds
+
+
+def test_norms_rows_are_the_direct_calls(tmp_path):
+    """Each report cell is str() of the norm function's own value."""
+    code, out = run(tmp_path, "norms", GEN, "--seed", "4")
+    assert code == 0
+    u = random_band_limited(GridSpec(32), seed=4, j_lo=0, j_hi=2, amplitude=0.3,
+                            solenoidal=True)
+    traj = heat_trajectory(u, np.linspace(0.0, 0.5, 33))
+    idx, kato = critical_index(3.0, 3.0), critical_index(6.0, 6.0)
+    assert (out / "report.csv").read_text().splitlines() == [
+        "norm_kind,a,b,s,p,q,t1,t2,value",
+        f"besov,,,{idx.s},3.0,3.0,0,0,{besov_norm(u, idx)}",
+        f"chemin_lerner,1.0,,{idx.s},3.0,3.0,0.0,0.5,"
+        f"{chemin_lerner_norm(traj, idx, 1.0)}",
+        f"chemin_lerner,inf,,{idx.s},3.0,3.0,0.0,0.5,"
+        f"{chemin_lerner_norm(traj, idx, math.inf)}",
+        f"script,1.0,inf,{idx.s},3.0,inf,0.0,0.5,"
+        f"{script_norm(traj, 1.0, math.inf, 3.0, math.inf)}",
+        f"kato,,,{kato.s},6.0,6.0,0.0,0.5,{kato_norm(traj, 6.0)}",
+        f"kato1,,,{kato.s},6.0,6.0,0.0,0.5,{kato_norm(traj, 6.0, order=1)}",
+        f"lebesgue,2.0,,{idx.s},3.0,3.0,0.0,0.5,{lebesgue_besov_norm(traj, idx, 2.0)}",
+    ]
 
 
 def test_manifest_written(tmp_path):
@@ -164,6 +191,28 @@ def test_exit_2_on_unpaired_mode_snapshot(tmp_path):
     body = f"[grid]\nn_points = 32\n[field]\npath = {path}\n"
     code, _ = run(tmp_path, "generate-field", body)
     assert code == 2
+
+
+@pytest.mark.parametrize("snapshot", [GridSpec(64), GridSpec(32, period=1.0)],
+                         ids=["64", "32-period1"])
+def test_exit_2_on_snapshot_grid_mismatch(tmp_path, capsys, snapshot):
+    """A snapshot is never silently read on another grid than [grid]'s."""
+    path = tmp_path / "u.bnsf"
+    write_field(path, random_band_limited(snapshot, j_lo=0, j_hi=2, seed=9,
+                                          solenoidal=True))
+    body = f"[grid]\nn_points = 32\n[field]\npath = {path}\n"
+    code, _ = run(tmp_path, "generate-field", body)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(snapshot) in err and str(GridSpec(32)) in err
+
+
+def test_exit_2_on_missing_snapshot(tmp_path, capsys):
+    path = tmp_path / "absent.bnsf"
+    body = f"[grid]\nn_points = 32\n[field]\npath = {path}\n"
+    code, _ = run(tmp_path, "generate-field", body)
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("solenoidal, expected", [(True, 0), (False, 2)])

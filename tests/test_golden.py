@@ -27,16 +27,16 @@ from bnslab.expansion import (OperatorHandle, apply_L, invert_K,
                               simple_iteration)
 from bnslab.field import random_band_limited
 from bnslab.grid import GridSpec
-from bnslab.littlewood_paley import BesovIndex, besov_norm, critical_index
+from bnslab.littlewood_paley import besov_norm, critical_index
 from bnslab.paraproduct import (bony_reconstruction_defect,
                                 paraproduct_support_defect,
                                 product_estimate_check)
 from bnslab.profiles import (ProfileSet, ScaleCore, evolve_decomposition,
                              extract_profiles, synthesize)
 from bnslab.solver import SolverConfig, bilinear_B, heat_trajectory, picard_solve, solve
-from bnslab.spacetime import (SpaceTimeNormSpec, Trajectory,
-                              embedding_chain_check, evaluate,
-                              kato_interpolation_constant, script_norm)
+from bnslab.spacetime import (Trajectory, chemin_lerner_norm,
+                              embedding_chain_check, kato_interpolation_constant,
+                              kato_norm, lebesgue_besov_norm, script_norm)
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 REL = 1e-12
@@ -159,22 +159,19 @@ def case_spacetime_norms(grid):
     traj = heat_trajectory(u, cfg.times)
     p, q = 3.0, 6.0
     idx = critical_index(p, p)
-    kato_idx = BesovIndex(-1.0 + 3.0 / q, q, q)
-    specs = {  # the six rows `bnslab norms` writes
-        "chemin_lerner_1": SpaceTimeNormSpec("chemin_lerner", idx, rho=1.0),
-        "chemin_lerner_inf": SpaceTimeNormSpec("chemin_lerner", idx, rho=math.inf),
-        "script": SpaceTimeNormSpec("script", critical_index(p, math.inf),
-                                    a=1.0, b=math.inf),
-        "kato": SpaceTimeNormSpec("kato", kato_idx),
-        "kato1": SpaceTimeNormSpec("kato1", kato_idx),
-        "lebesgue_2": SpaceTimeNormSpec("lebesgue", idx, rho=2.0),
+    rel = {  # the six rows `bnslab norms` writes
+        "chemin_lerner_1": chemin_lerner_norm(traj, idx, 1.0),
+        "chemin_lerner_inf": chemin_lerner_norm(traj, idx, math.inf),
+        "script": script_norm(traj, 1.0, math.inf, p, math.inf),
+        "kato": kato_norm(traj, q),
+        "kato1": kato_norm(traj, q, order=1),
+        "lebesgue_2": lebesgue_besov_norm(traj, idx, 2.0),
     }
     chain = embedding_chain_check(traj, 1.0, 5.0, math.inf, critical_index(3, 5))
     u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=75, amplitude=0.05)
     sol, _ = picard_solve(u0, cfg)
     step = simple_iteration(u0, heat_trajectory(u0, sol.times),
                             bilinear_B(sol, sol), 1)[0]
-    rel = {name: evaluate(traj, spec) for name, spec in specs.items()}
     rel.update({f"chain_{k}": v for k, v in chain.items() if k != "ok"})
     rel["kato_interpolation"] = kato_interpolation_constant(traj, 6.0, T=0.25)
     rel["v_sup_l3"] = step["v_sup_l3"]

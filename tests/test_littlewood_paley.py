@@ -7,6 +7,7 @@ the block-norm engine against the plain formula (full complex inverse
 of each block, magnitude raised to p).
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bnslab.field import (Trajectory, hermitian_symmetrize, random_band_limited,
 from bnslab.grid import GridSpec, low_pass_multipliers, shell_multipliers
 from bnslab.littlewood_paley import (BesovIndex, bernstein_ratio, besov_norm,
                                      block_lp_norms, critical_index,
-                                     lp_decompose, shell_energies)
+                                     reconstruction_defect, shell_energies)
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +29,28 @@ def grid():
 
 def test_reconstruction_random(grid):
     u = random_band_limited(grid, j_lo=0, j_hi=grid.j_max, seed=4)
-    assert lp_decompose(u).reconstruction_defect(u) < 1e-12
+    assert reconstruction_defect(u) < 1e-12
 
 
 def test_reconstruction_corpus(grid):
     for seed in range(20):
         u = random_band_limited(grid, j_lo=0, j_hi=2, seed=seed)
-        assert lp_decompose(u).reconstruction_defect(u) < 1e-10
+        assert reconstruction_defect(u) < 1e-10
+
+
+def test_reconstruction_holds_one_block_at_a_time():
+    """At 64^3 the traced peak stays under 3 fields: the running sum and
+    one block (10 when every block and both tails are kept)."""
+    grid = GridSpec(64)
+    u = random_band_limited(grid, j_lo=0, j_hi=grid.j_max, seed=5)
+    reconstruction_defect(u)  # builds the cached multipliers
+    tracemalloc.start()
+    try:
+        reconstruction_defect(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * u.coeffs.nbytes, peak / u.coeffs.nbytes
 
 
 def test_single_mode_lands_in_one_shell(grid):

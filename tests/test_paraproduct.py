@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from bnslab.errors import GridError
-from bnslab.field import (dealias, from_physical, heat_flow, random_band_limited,
-                          scaling_transform, shell_bump)
-from bnslab.grid import GridSpec
-from bnslab.littlewood_paley import critical_index, lp_decompose
+from bnslab.field import (SpectralField, dealias, from_physical, heat_flow,
+                          random_band_limited, scaling_transform, shell_bump)
+from bnslab.grid import GridSpec, shell_multipliers
+from bnslab.littlewood_paley import critical_index
 from bnslab.paraproduct import (bilinear_kato_check, bony_decompose,
                                 bony_reconstruction_defect,
                                 heat_block_decay_rates,
@@ -124,7 +124,8 @@ def test_heat_block_decay_rates_match_block_copies(grid):
     u = random_band_limited(grid, j_lo=0, j_hi=grid.j_max, seed=92)
     k_unit = 2.0 * math.pi / grid.period
     ref = []
-    for block, j in zip(lp_decompose(u).blocks, grid.shells):
+    for m, j in zip(shell_multipliers(grid), grid.shells):
+        block = SpectralField(grid, u.coeffs * m)
         k_ref = k_unit * 2.0 ** (j + 1)
         ts = np.linspace(0.0, 1.0 / k_ref**2, 12)
         vals = np.array([heat_flow(block, t).l2() for t in ts])

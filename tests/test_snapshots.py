@@ -116,3 +116,31 @@ def test_manifest_contents(tmp_path):
     assert m["command"] == "norms"
     assert m["seed"] == 5
     assert len(m["config_sha256_16"]) == 16
+
+
+def _edit_times(d, text):
+    (d / "times.csv").write_text(text)
+
+
+def _shuffle_grid(d):
+    u = random_band_limited(GridSpec(32, period=1.0), j_lo=0, j_hi=2, seed=67)
+    write_field(d / "snapshot_00002.bnsf", u)
+
+
+@pytest.mark.parametrize("damage, match", [
+    (lambda d: _edit_times(d, "index,t\n0,0.0\n\n2,0.05\n"), "line 3"),
+    (lambda d: _edit_times(d, "index,t\n0,0.0\n1,0.05\n2,0.025\n"), "line 4"),
+    (lambda d: _edit_times(d, "index,t\n0,0.0\n1,nan\n2,0.05\n"), "line 3"),
+    (lambda d: _edit_times(d, "index,t\n"), "no time rows"),
+    (lambda d: (d / "snapshot_00001.bnsf").unlink(), "snapshot_00001"),
+    (_shuffle_grid, "snapshot_00002.*period=1.0"),
+], ids=["blank_row", "decreasing", "non_finite", "empty", "missing", "mixed_grid"])
+def test_read_trajectory_rejects(grid, tmp_path, damage, match):
+    """Each bad trajectory directory is a ConfigError naming the file."""
+    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=63)
+    d = tmp_path / "traj"
+    write_trajectory(d, heat_trajectory(u0, np.linspace(0.0, 0.1, 5)))
+    damage(d)
+    with pytest.raises(ConfigError, match=match) as err:
+        read_trajectory(d)
+    assert str(d) in str(err.value)

@@ -14,10 +14,9 @@ from bnslab.field import random_band_limited, single_mode
 from bnslab.grid import GridSpec
 from bnslab.littlewood_paley import BesovIndex, besov_norm, critical_index
 from bnslab.solver import heat_trajectory
-from bnslab.spacetime import (SpaceTimeNormSpec, chemin_lerner_norm,
-                              constant_trajectory, embedding_chain_check,
-                              evaluate, kato_interpolation_constant, kato_norm,
-                              lebesgue_besov_norm, rescale_trajectory,
+from bnslab.spacetime import (chemin_lerner_norm, constant_trajectory,
+                              embedding_chain_check, kato_interpolation_constant,
+                              kato_norm, lebesgue_besov_norm, rescale_trajectory,
                               script_norm)
 
 
@@ -87,15 +86,6 @@ def test_script_norm_endpoint_matches_chemin_lerner(grid):
     v = script_norm(traj, 1.0, math.inf, 3.0)
     assert v > 0.0
     assert math.isfinite(v)
-
-
-def test_evaluate_dispatch(grid):
-    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=34)
-    traj = heat_trajectory(u0, np.linspace(0.0, 0.1, 9))
-    idx = critical_index(3.0, 3.0)
-    spec = SpaceTimeNormSpec(kind="chemin_lerner", besov=idx, rho=2.0)
-    assert evaluate(traj, spec) == pytest.approx(
-        chemin_lerner_norm(traj, idx, 2.0), rel=1e-12)
 
 
 def test_embedding_chain(grid):
