@@ -63,7 +63,8 @@ def _map(fn, items) -> list:
     """[fn(x) for x in items], one task per item on the level pool, whose
     transforms use one worker each.  Inline, starting no thread, under
     set_threads(1), for one item and inside a task (nesting cannot
-    deadlock); a task's exception reaches the caller."""
+    deadlock); a task's exception reaches the caller.  The items are listed
+    before any task runs, so pass indices or views, not arrays made per item."""
     global _POOL
     items = list(items)
     n = _WORKERS if _WORKERS > 0 else len(os.sched_getaffinity(0))
@@ -262,13 +263,13 @@ def lp_norm(phys: np.ndarray, grid: GridSpec, p: float) -> float:
     points); an integer p <= 8 takes |u|^p as at most four products of m2
     (times sqrt(m2) when p is odd), and every other p one real power.
     """
-    m2 = sum(a * a for a in phys) if phys.ndim == 4 else phys * phys
+    m2 = np.einsum("i...,i...->...", phys, phys) if phys.ndim == 4 else phys * phys
     if math.isinf(p):
         return math.sqrt(float(np.max(m2)))
     if p == int(p) and p <= 8:
         powered = np.sqrt(m2) if p % 2 else m2
-        for _ in range(int(p - 1) // 2):
-            powered = powered * m2
+        for _ in range(int(p - 1) // 2):  # in place, once powered is not m2 itself
+            powered = np.multiply(powered, m2, out=None if powered is m2 else powered)
     else:
         powered = np.sqrt(m2) ** p
     return float((np.sum(powered) * grid.cell_volume) ** (1.0 / p))

@@ -115,14 +115,15 @@ def block_lp_norms(u, p: float) -> np.ndarray:
     grid = u.grid
     norm = functools.partial(lp_norm, grid=grid, p=p)  # map drops each block once normed
 
-    def level(c):
+    def level(i):
+        c = u.coeffs[i]  # read inside the task: u's levels may be made on read
         if p == 2.0:
             return [math.sqrt(grid.period**3 * float(np.sum(w)))
                     for w in _block_energies(c, grid)]
         return list(map(norm, _blocks(c, grid)))
 
     lead = u.coeffs.shape[:-4]
-    rows = _map(level, (u.coeffs[i] for i in np.ndindex(lead)))
+    rows = _map(level, np.ndindex(lead))
     return np.array(rows, dtype=float).reshape(lead + (grid.n_shells,))
 
 

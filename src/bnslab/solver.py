@@ -11,7 +11,8 @@ quadrature of the nonlinearity, never stiffness of the kernel.
 
 B runs on the dealiased box of `grid.dealias_box`: a dealiased product of
 real fields has no mode outside it, and its k_z < 0 half mirrors the rest.
-B's output is expanded to the full fftn layout once, as a `Trajectory`.
+`bilinear_B` expands its output to the full fftn layout once; `solve`
+keeps each iterate's Duhamel part on the box.
 """
 
 from __future__ import annotations
@@ -151,14 +152,19 @@ def duhamel_integral(k2: np.ndarray, times: np.ndarray, g: np.ndarray,
         dt = float(times[i + 1] - times[i])
         E, c_lo, c_hi = _etd_weights(k2 * dt)
         out[i + 1] = E * out[i] + dt * (c_lo * g[i] + c_hi * g[i + 1])
-    return sign * out
+    out *= sign
+    return out
+
+
+def _bilinear_box(u: Trajectory, v: Trajectory) -> np.ndarray:
+    """B(u,v) on the dealiased box, (nt, 3, 2K+1, 2K+1, K+1)."""
+    k2 = dealias_box(u.grid)[2]
+    return duhamel_integral(k2, u.times, nonlinear_term(u, v), sign=-1.0)
 
 
 def bilinear_B(u: Trajectory, v: Trajectory) -> Trajectory:
     """B(u,v)(t) = -int_0^t e^{(t-t')Laplacian} P grad.(u (x)_sigma v) dt'."""
-    k2 = dealias_box(u.grid)[2]
-    box = duhamel_integral(k2, u.times, nonlinear_term(u, v), sign=-1.0)
-    return Trajectory(u.grid, u.times, _from_box(u.grid.n_points, box))
+    return Trajectory(u.grid, u.times, _from_box(u.grid.n_points, _bilinear_box(u, v)))
 
 
 def forcing_integral(f: Trajectory) -> Trajectory:
@@ -171,13 +177,31 @@ def forcing_integral(f: Trajectory) -> Trajectory:
 
 # -- Picard solver -----------------------------------------------------------
 
+class _Levels:
+    """Coefficients base[i] + _from_box(box[i]) (the box part alone without
+    base), made when level i is read: the coefficient array of a trajectory
+    that `nonlinear_term` and `block_lp_norms` read one level per task."""
+
+    def __init__(self, n: int, box: np.ndarray, base: np.ndarray | None = None):
+        self.n, self.box, self.base = n, box, base
+        self.shape = box.shape[:-3] + (n, n, n)
+
+    def __getitem__(self, i) -> np.ndarray:
+        level = _from_box(self.n, self.box[i])
+        return level if self.base is None else np.add(self.base[i], level, out=level)
+
+
 def solve(w0: SpectralField, cfg: SolverConfig, p: float = 3.0,
           drifts=(), forcings=()) -> tuple[Trajectory, list[float], bool]:
     """Iterate w <- e^{tL}w0 + H(f) + B(w,w) + 2B_sigma(v,w) from the base
     e^{tL}w0 + H(f), where v is the sum of the drift trajectories and f the
     sum of the forcings (spectral divergence-of-tensor data).
 
-    The residual of each update is its script 1:inf norm at integrability p
+    Only the Duhamel part b = B(w,w) + 2B_sigma(v,w) changes between
+    iterates, so w is held as the full-layout base plus b on the dealiased
+    box, and a level of w is formed only inside the task that reads it; the
+    last iterate is summed into the base's buffer.  The residual of each
+    update is the script 1:inf norm at integrability p of the change in b,
     relative to the norm of the base.  Returns (last iterate, residuals,
     converged): a residual below picard_tol converges, a non-finite one or
     one above 1e6 diverges, and so does an exhausted budget.
@@ -187,23 +211,25 @@ def solve(w0: SpectralField, cfg: SolverConfig, p: float = 3.0,
         base = base + forcing_integral(sum(forcings[1:], forcings[0]))
     v = sum(drifts[1:], drifts[0]) if drifts else None
     scale = max(script_norm(base, 1.0, math.inf, p), 1e-300)
-    w = base
+    grid, times, n = base.grid, base.times, base.grid.n_points
+    w, b = base, None
     residuals: list[float] = []
     for _ in range(cfg.max_picard_iters):
-        w_next = bilinear_B(w, w)  # must be a fresh array: the update is summed into it
-        np.add(base.coeffs, w_next.coeffs, out=w_next.coeffs)
+        b_next = _bilinear_box(w, w)
         if v is not None:
-            np.add(w_next.coeffs, 2.0 * bilinear_B(v, w).coeffs, out=w_next.coeffs)
-        if w is not base:  # the retired iterate's buffer takes the update
-            np.subtract(w_next.coeffs, w.coeffs, out=w.coeffs)
-        res = script_norm(w if w is not base else w_next - base, 1.0, math.inf, p) / scale
+            b_next += 2.0 * _bilinear_box(v, w)
+        # the retired iterate's Duhamel part takes the step
+        step = b_next if b is None else np.subtract(b_next, b, out=b)
+        mat = block_norm_matrix(Trajectory(grid, times, _Levels(n, step)), p)
+        res = float(_script_prefix(mat, times, grid, 1.0, math.inf, p)[-1]) / scale
         residuals.append(res)
-        w = w_next
-        if not math.isfinite(res) or res > 1e6:
-            return w, residuals, False
-        if res < cfg.picard_tol:
-            return w, residuals, True
-    return w, residuals, False
+        b = b_next
+        w = Trajectory(grid, times, _Levels(n, b, base.coeffs))
+        if not math.isfinite(res) or res > 1e6 or res < cfg.picard_tol:
+            break
+    for i in range(len(times)):
+        np.add(base.coeffs[i], _from_box(n, b[i]), out=base.coeffs[i])
+    return base, residuals, res < cfg.picard_tol
 
 
 def picard_solve(

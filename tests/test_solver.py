@@ -8,6 +8,7 @@ converged solution; energy balance against the L^2 identity.
 """
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import scipy.fft
 
 from bnslab.field import (SpectralField, _from_box, dealias, heat_flow,
                           hermitian_symmetrize, leray_project, random_band_limited,
-                          shell_bump, single_mode)
+                          set_threads, shell_bump, single_mode)
 from bnslab.grid import GridSpec, dealias_mask, wavenumber_sq, wavevectors
 from bnslab.littlewood_paley import besov_norm, critical_index
 from bnslab.solver import (SolverConfig, _etd_weights, bilinear_B,
@@ -247,21 +248,40 @@ def test_solve_reduces_to_picard(grid):
     assert residuals == rep.picard_residuals
 
 
-def test_picard_update_holds_three_trajectories(grid):
-    """The traced peak of a 17-level solve stays under 3.5 trajectories:
-    base, the iterate and the update summed into B's fresh array, with the
-    step written over the retired iterate (4.09 when each sum allocates)."""
+@pytest.mark.parametrize("k", [1, 2])
+def test_solve_iterate_is_base_plus_duhamel_part(grid, k):
+    # one more Picard step is e^{tD}u0 + B(w_k, w_k), to the byte, and its
+    # residual is the script norm of the step relative to the base
+    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=52, amplitude=0.3)
+    cfg = SolverConfig(dt=0.01, n_steps=8, picard_tol=1e-300, max_picard_iters=k)
+    w_k, res_k, _ = solve(u0, cfg)
+    w_next, res_next, _ = solve(u0, replace(cfg, max_picard_iters=k + 1))
+    heat = heat_trajectory(u0, cfg.times)
+    np.testing.assert_array_equal(w_next.coeffs, (heat + bilinear_B(w_k, w_k)).coeffs)
+    assert res_next[:k] == res_k
+    scale = script_norm(heat, 1.0, math.inf, 3.0)
+    want = script_norm(w_next - w_k, 1.0, math.inf, 3.0) / scale
+    assert res_next[k] == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_picard_solve_holds_two_trajectories(grid, threads):
+    """The traced peak of a 17-level solve stays under 2.0 trajectories: the
+    base, the Duhamel parts on the dealiased box and the levels in flight
+    (3.34 when the iterate and the update were full-layout trajectories)."""
     u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=49, amplitude=0.05)
     cfg = SolverConfig(dt=0.005, n_steps=16)
+    set_threads(threads)
     tracemalloc.start()
     try:
         _, residuals, ok = solve(u0, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        set_threads(0)
     assert ok and len(residuals) >= 2
     trajectory = 17 * u0.coeffs.nbytes
-    assert peak <= 3.5 * trajectory, peak / trajectory
+    assert peak <= 2.0 * trajectory, peak / trajectory
 
 
 def test_report_rows_format(solved_small):
