@@ -11,8 +11,7 @@ quadrature of the nonlinearity, never stiffness of the kernel.
 
 B runs on the dealiased box of `grid.dealias_box`: a dealiased product of
 real fields has no mode outside it, and its k_z < 0 half mirrors the rest.
-`bilinear_B` expands its output to the full fftn layout once; `solve`
-keeps each iterate's Duhamel part on the box.
+`bilinear_B` expands B to the full fftn layout; `solve` keeps it on the box.
 """
 
 from __future__ import annotations
@@ -180,10 +179,11 @@ def forcing_integral(f: Trajectory) -> Trajectory:
 class _Levels:
     """Coefficients base[i] + _from_box(box[i]) (the box part alone without
     base), made when level i is read: the coefficient array of a trajectory
-    that `nonlinear_term` and `block_lp_norms` read one level per task."""
+    that `nonlinear_term` and `block_lp_norms` read one level per task.  Its
+    `reshape` is the box's, which perfbench samples to tell matrices apart."""
 
     def __init__(self, n: int, box: np.ndarray, base: np.ndarray | None = None):
-        self.n, self.box, self.base = n, box, base
+        self.n, self.box, self.base, self.reshape = n, box, base, box.reshape
         self.shape = box.shape[:-3] + (n, n, n)
 
     def __getitem__(self, i) -> np.ndarray:
