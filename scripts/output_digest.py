@@ -10,12 +10,18 @@ Each line is `<threads> <output> <sha256>`.  The outputs are:
   `verify-estimates` write on small 32^3 configs;
 * the raw bytes of the 64^3, 17-level `block_norm_matrix` at p = 2, 3, 5;
 * the profiles, schedules and remainders that `extract_profiles` returns
-  on the criterion-12 sequence (64^3).
+  on the criterion-12 sequence (64^3);
+* the coefficients of one 32^3, 11-level K[v] round trip,
+  `invert_K(apply_L(w))`, with signed zeros folded by `+ 0.0`: K[v] scales
+  B by 2 on the dealiased box, before its conjugate mirror to the full
+  layout, and where B is exactly zero that order can flip the sign of the
+  zero but never a value.
 
 The command outputs go to a temporary directory.  The script exits 1 when
 the two thread settings give different bytes.  It calls only long-standing
-names (the CLI, `set_threads`, `block_norm_matrix`, `extract_profiles`), so
-it also runs on an older checkout for a before/after comparison.
+names (the CLI, `set_threads`, `block_norm_matrix`, `extract_profiles`,
+`apply_L`, `invert_K`), so it also runs on an older checkout for a
+before/after comparison.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from bnslab.cli import main as bnslab
+from bnslab.expansion import OperatorHandle, apply_L, invert_K
 from bnslab.field import random_band_limited, set_threads
 from bnslab.grid import GridSpec
 from bnslab.profiles import ProfileSet, ScaleCore, extract_profiles, synthesize
-from bnslab.solver import heat_trajectory
+from bnslab.solver import SolverConfig, heat_trajectory
 from bnslab.spacetime import block_norm_matrix
 
 FIELD = """[grid]
@@ -119,11 +126,22 @@ def extraction_digests() -> dict:
     return out
 
 
+def inversion_digests() -> dict:
+    """invert_K(apply_L(w)) for a heat-flow drift and target."""
+    grid, times = GridSpec(32), SolverConfig(dt=0.01, n_steps=10).times
+    v = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=60, amplitude=2.0), times)
+    w = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=80, amplitude=0.1), times)
+    handle = OperatorHandle(v)
+    back = invert_K(handle, apply_L(handle, w))
+    return {"invert_K/roundtrip": _sha((back.coeffs + 0.0).tobytes())}
+
+
 def digests(root: Path, threads: int) -> dict:
     out = command_digests(root, threads)  # the CLI sets the thread count
     set_threads(threads)
     out.update(matrix_digests())
     out.update(extraction_digests())
+    out.update(inversion_digests())
     return out
 
 

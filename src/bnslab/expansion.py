@@ -10,14 +10,15 @@ solver's fixed-point defect, not quadrature error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import InversionError
 from .field import SpectralField, Trajectory, _from_box
-from .grid import wavenumber_sq
-from .solver import SolverConfig, bilinear_B, heat_trajectory, nonlinear_term, solve
+from .grid import dealias_box, wavenumber_sq
+from .solver import (SolverConfig, _add_box, _bilinear_box, _Levels, bilinear_B,
+                     heat_trajectory, nonlinear_term, solve)
 from .spacetime import _spatial_lp, _time_norms, script_norm
 
 
@@ -88,11 +89,8 @@ def duhamel_expand(u: Trajectory, u0: SpectralField, N: int,
                 + 2.0 * bilinear_B(u_lin, bilinear_B(q, q))
                 + bilinear_B(q, q)
             )
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
     ref = script_norm(u, 1.0, math.inf, p)
-    residual = _rel_script(u - total - tail, ref, p)
+    residual = _rel_script(u - sum(terms[1:], terms[0]) - tail, ref, p)
     term_norms = [script_norm(t, 1.0, math.inf, p) for t in terms]
     tail_p = p / N
     tail_norm = (script_norm(tail, tail_p, tail_p, tail_p)
@@ -127,7 +125,10 @@ def _slab_bounds(nt: int, n_slabs: int) -> np.ndarray:
 
 
 def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
-    """Solve L[v]w = z by the fixed point w <- z + 2 B_sigma(v, w).
+    """Solve L[v]w = z by the fixed point w <- z + 2 B_sigma(v, w), held as in
+    `solver.solve`: z is only read, and d = w - z (2 B_sigma(v, w) on settled
+    levels, 0 elsewhere) lives on the dealiased box, where the update size
+    and the final check L[v]w - z = d - 2 B_sigma(v, w) are taken.
 
     The fixed point runs on time slabs: B_sigma is causal, so once w is
     converged on [0, t1] the later slabs only ever read settled values.
@@ -137,12 +138,12 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
     the local drift norm, up to 64 slabs or until every slab holds one
     time level, after which doubling leaves the partition unchanged.
     """
-    v = handle.drift
-    nt = z.n_times
+    v, grid, times, nt = handle.drift, z.grid, z.times, z.n_times
     scale = max(float(np.max(np.abs(z.coeffs))), 1e-300)
     n_slabs = 1
     while True:
-        w = replace(z, coeffs=z.coeffs.copy())
+        d = np.zeros((nt, 3) + dealias_box(grid)[3].shape, dtype=complex)
+        w = Trajectory(grid, times, _Levels(grid.n_points, d, z.coeffs))
         bounds = _slab_bounds(nt, n_slabs)
         ok = True
         for s in range(n_slabs):
@@ -151,9 +152,9 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
                 continue
             deltas = []
             for _ in range(_INVERSION_ITERS):
-                w_full = z + 2.0 * bilinear_B(v, w)
-                delta = float(np.max(np.abs(w_full.coeffs[:hi] - w.coeffs[:hi])))
-                w.coeffs[lo:hi] = w_full.coeffs[lo:hi]
+                d_next = 2.0 * _bilinear_box(v, w)
+                delta = float(np.max(np.abs(d_next[:hi] - d[:hi])))
+                d[lo:hi] = d_next[lo:hi]
                 if delta / scale < _INVERSION_TOL:
                     break
                 deltas.append(delta)
@@ -165,10 +166,9 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
             if not ok:
                 break
         if ok:
-            res = apply_L(handle, w) - z
-            rel = float(np.max(np.abs(res.coeffs))) / scale
+            rel = float(np.max(np.abs(d - 2.0 * _bilinear_box(v, w)))) / scale
             if rel < 100 * _INVERSION_TOL:
-                return w
+                return _add_box(z, d, np.empty_like(z.coeffs))
         if n_slabs >= min(nt, 64):
             break
         n_slabs *= 2
@@ -230,11 +230,8 @@ def expand_solution(u0: SpectralField, k: int, cfg: SolverConfig) -> ExpansionRe
         w = invert_K(handle, bilinear_B(kz, kz))
         terms.append(u_next)
         drift = drift + u_next
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
     ref = script_norm(u, 1.0, math.inf, p)
-    residual = _rel_script(u - total - w, ref, p)
+    residual = _rel_script(u - sum(terms[1:], terms[0]) - w, ref, p)
     term_norms = [script_norm(terms[n], 1.0, math.inf, p / 2**n)
                   for n in range(k + 1)]
     pk = 6.0 * p / (2.0 * p + 1.0)

@@ -11,7 +11,8 @@ quadrature of the nonlinearity, never stiffness of the kernel.
 
 B runs on the dealiased box of `grid.dealias_box`: a dealiased product of
 real fields has no mode outside it, and its k_z < 0 half mirrors the rest.
-`bilinear_B` expands B to the full fftn layout; `solve` keeps it on the box.
+`bilinear_B` expands B to the full fftn layout; the fixed points `solve` and
+`expansion.invert_K` keep it on the box, beside a full-layout base.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class SolverConfig:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
-
-    @property
-    def t_final(self) -> float:
-        return self.dt * self.n_steps
 
 
 @dataclass
@@ -144,15 +141,17 @@ def _etd_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def duhamel_integral(k2: np.ndarray, times: np.ndarray, g: np.ndarray,
                      sign: float = 1.0) -> np.ndarray:
     """t -> sign * int_0^t e^{(t-s) Laplacian} g(s) ds on the sampling grid,
-    for coefficients g on any layout whose modes have |k|^2 = k2."""
-    nt = len(times)
-    out = np.zeros_like(g)
-    for i in range(nt - 1):
+    for coefficients g on any layout whose modes have |k|^2 = k2, written
+    over g (one original level is held aside at a time) and returned."""
+    held = g[0].copy()
+    g[0] = 0.0
+    for i in range(len(times) - 1):
         dt = float(times[i + 1] - times[i])
         E, c_lo, c_hi = _etd_weights(k2 * dt)
-        out[i + 1] = E * out[i] + dt * (c_lo * g[i] + c_hi * g[i + 1])
-    out *= sign
-    return out
+        lo, held = held, g[i + 1].copy()
+        g[i + 1] = E * g[i] + dt * (c_lo * lo + c_hi * held)
+    g *= sign
+    return g
 
 
 def _bilinear_box(u: Trajectory, v: Trajectory) -> np.ndarray:
@@ -170,8 +169,7 @@ def forcing_integral(f: Trajectory) -> Trajectory:
     """H(f)(t) = int_0^t e^{(t-s)Laplacian} P f(s) ds (Leray applied per time)."""
     g = leray_project(f).coeffs
     g[:, :, 0, 0, 0] = 0.0
-    coeffs = duhamel_integral(wavenumber_sq(f.grid), f.times, g, sign=1.0)
-    return Trajectory(f.grid, f.times, coeffs)
+    return Trajectory(f.grid, f.times, duhamel_integral(wavenumber_sq(f.grid), f.times, g))
 
 
 # -- Picard solver -----------------------------------------------------------
@@ -189,6 +187,14 @@ class _Levels:
     def __getitem__(self, i) -> np.ndarray:
         level = _from_box(self.n, self.box[i])
         return level if self.base is None else np.add(self.base[i], level, out=level)
+
+
+def _add_box(base: Trajectory, box: np.ndarray, out: np.ndarray) -> Trajectory:
+    """base + _from_box(box), a fixed point's last iterate, summed level by
+    level into out (which may be base.coeffs)."""
+    for i in range(base.n_times):
+        np.add(base.coeffs[i], _from_box(base.grid.n_points, box[i]), out=out[i])
+    return Trajectory(base.grid, base.times, out)
 
 
 def solve(w0: SpectralField, cfg: SolverConfig, p: float = 3.0,
@@ -227,9 +233,7 @@ def solve(w0: SpectralField, cfg: SolverConfig, p: float = 3.0,
         w = Trajectory(grid, times, _Levels(n, b, base.coeffs))
         if not math.isfinite(res) or res > 1e6 or res < cfg.picard_tol:
             break
-    for i in range(len(times)):
-        np.add(base.coeffs[i], _from_box(n, b[i]), out=base.coeffs[i])
-    return base, residuals, res < cfg.picard_tol
+    return _add_box(base, b, base.coeffs), residuals, res < cfg.picard_tol
 
 
 def picard_solve(
@@ -245,7 +249,6 @@ def picard_solve(
 def monitor(traj: Trajectory, idx: BesovIndex, residuals=None,
             diverged: bool = False) -> BlowupReport:
     """Per-time Besov norms and running script norms with classification."""
-    residuals = residuals or []
     mat = block_norm_matrix(traj, idx.p)
     besov = besov_from_blocks(mat, traj.grid, idx)
     running = _script_prefix(mat, traj.times, traj.grid, 1.0, math.inf, idx.p)
@@ -257,7 +260,7 @@ def monitor(traj: Trajectory, idx: BesovIndex, residuals=None,
         cls = "growing"
     else:
         cls = "decaying"
-    return BlowupReport(traj.times, besov, running, cls, list(residuals))
+    return BlowupReport(traj.times, besov, running, cls, list(residuals or []))
 
 
 # -- diagnostics --------------------------------------------------------------

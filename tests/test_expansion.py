@@ -6,16 +6,18 @@ inverse of the explicitly applied L[v]; the staged iteration must
 preserve the decomposition identity step by step.
 """
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bnslab import expansion
+from bnslab import expansion, solver
 from bnslab.errors import InversionError
 from bnslab.expansion import (OperatorHandle, apply_L, duhamel_expand,
                               expand_solution, heat_drift_defect, invert_K,
                               simple_iteration)
-from bnslab.field import random_band_limited
+from bnslab.field import random_band_limited, set_threads
 from bnslab.grid import GridSpec
 from bnslab.solver import SolverConfig, bilinear_B, heat_trajectory, picard_solve
 from bnslab.spacetime import script_norm
@@ -86,6 +88,115 @@ def test_invert_K_roundtrip(grid):
         assert err <= 1e-8 * script_norm(w, 1.0, math.inf, 3.0)
 
 
+def _count_nonlinear_terms(monkeypatch) -> list:
+    """Count the calls of `solver.nonlinear_term`: every application of B,
+    on the box or in the full layout, makes exactly one."""
+    calls = []
+
+    def counting(*args, _fn=solver.nonlinear_term):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(solver, "nonlinear_term", counting)
+    return calls
+
+
+def _full_layout_invert_K(handle, z):
+    """The K[v] fixed point with the iterate, each update and the check of
+    L[v]w = z held as full-layout trajectories: the reference `invert_K`
+    must reproduce, with the same slabs, tolerances and verdicts."""
+    v, nt = handle.drift, z.n_times
+    scale = max(float(np.max(np.abs(z.coeffs))), 1e-300)
+    n_slabs = 1
+    while True:
+        w = replace(z, coeffs=z.coeffs.copy())
+        bounds = expansion._slab_bounds(nt, n_slabs)
+        ok = True
+        for s in range(n_slabs):
+            lo, hi = bounds[s], bounds[s + 1]
+            if hi <= lo:
+                continue
+            deltas = []
+            for _ in range(expansion._INVERSION_ITERS):
+                w_full = z + 2.0 * bilinear_B(v, w)
+                delta = float(np.max(np.abs(w_full.coeffs[:hi] - w.coeffs[:hi])))
+                w.coeffs[lo:hi] = w_full.coeffs[lo:hi]
+                if delta / scale < expansion._INVERSION_TOL:
+                    break
+                deltas.append(delta)
+                if expansion._round_fails(deltas, scale):
+                    ok = False
+                    break
+            else:
+                ok = False
+            if not ok:
+                break
+        if ok:
+            res = apply_L(handle, w) - z
+            if float(np.max(np.abs(res.coeffs))) / scale < 100 * expansion._INVERSION_TOL:
+                return w
+        if n_slabs >= min(nt, 64):
+            break
+        n_slabs *= 2
+    raise InversionError(f"failed within {n_slabs} time slabs")
+
+
+def test_invert_K_matches_full_layout_fixed_point(grid, monkeypatch):
+    # the iterate on the dealiased box gives the full-layout fixed point's
+    # values and applies B as often; the largest drift fails on one slab and
+    # converges on two
+    cfg = SolverConfig(dt=0.01, n_steps=4)
+    w = heat_trajectory(
+        random_band_limited(grid, j_lo=0, j_hi=2, seed=81, amplitude=0.1), cfg.times)
+    slabs = []
+
+    def recording(nt, n_slabs, _bounds=expansion._slab_bounds):
+        slabs.append(n_slabs)
+        return _bounds(nt, n_slabs)
+
+    monkeypatch.setattr(expansion, "_slab_bounds", recording)
+    calls = _count_nonlinear_terms(monkeypatch)
+    doubled = []
+    for amp in (0.2, 20.0, 450.0):
+        v = heat_trajectory(
+            random_band_limited(grid, j_lo=0, j_hi=2, seed=61, amplitude=amp), cfg.times)
+        handle = OperatorHandle(v)
+        z = apply_L(handle, w)
+        calls.clear()
+        slabs.clear()
+        back = invert_K(handle, z)
+        n_calls = len(calls)
+        doubled.append(max(slabs) > 1)
+        calls.clear()
+        want = _full_layout_invert_K(handle, z)
+        assert np.array_equal(back.coeffs, want.coeffs), amp
+        assert len(calls) == n_calls, amp
+    assert doubled == [False, False, True]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_invert_K_holds_no_full_iterate(grid, threads):
+    """The traced peak of one 11-level inversion stays under 2.0
+    trajectories: the result, the parts on the dealiased box and the levels
+    in flight (4.00 with a full-layout iterate, update and check)."""
+    cfg = SolverConfig(dt=0.01, n_steps=10)
+    v = heat_trajectory(
+        random_band_limited(grid, j_lo=0, j_hi=2, seed=60, amplitude=0.2), cfg.times)
+    w = heat_trajectory(
+        random_band_limited(grid, j_lo=0, j_hi=2, seed=80, amplitude=0.1), cfg.times)
+    handle = OperatorHandle(v)
+    z = apply_L(handle, w)
+    set_threads(threads)
+    tracemalloc.start()
+    try:
+        invert_K(handle, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        set_threads(0)
+    assert peak <= 2.0 * z.coeffs.nbytes, peak / z.coeffs.nbytes
+
+
 def test_invert_K_rejects_huge_drift(grid, monkeypatch):
     # this drift's rounds contract by about 0.85 per iteration, too slowly
     # for the iteration budget: spending it takes 402 calls of B over the
@@ -97,13 +208,7 @@ def test_invert_K_rejects_huge_drift(grid, monkeypatch):
         random_band_limited(grid, j_lo=0, j_hi=2, seed=71, amplitude=0.1), cfg.times)
     handle = OperatorHandle(v)
     z = apply_L(handle, w)
-    calls = []
-
-    def counting(*args, _fn=expansion.bilinear_B):
-        calls.append(1)
-        return _fn(*args)
-
-    monkeypatch.setattr(expansion, "bilinear_B", counting)
+    calls = _count_nonlinear_terms(monkeypatch)
     with pytest.raises(InversionError):
         invert_K(handle, z)
     assert len(calls) <= 60
