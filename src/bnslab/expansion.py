@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InversionError
-from .field import SpectralField, Trajectory, _from_box
+from .field import SpectralField, Trajectory, _from_box, _real_physical
 from .grid import dealias_box, wavenumber_sq
 from .solver import (SolverConfig, _add_box, _bilinear_box, _Levels, bilinear_B,
                      heat_trajectory, nonlinear_term, solve)
@@ -101,8 +101,8 @@ def duhamel_expand(u: Trajectory, u0: SpectralField, N: int,
 # -- L[v] and K[v] -----------------------------------------------------------
 
 def apply_L(handle: OperatorHandle, w: Trajectory) -> Trajectory:
-    """L[v]w = w - 2 B_sigma(v, w)."""
-    return w - 2.0 * bilinear_B(handle.drift, w)
+    """L[v]w = w - 2 B_sigma(v, w), with B summed from the dealiased box."""
+    return _add_box(w, -2.0 * _bilinear_box(handle.drift, w), np.empty_like(w.coeffs))
 
 
 def _round_fails(deltas: list[float], scale: float) -> bool:
@@ -128,32 +128,37 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
     """Solve L[v]w = z by the fixed point w <- z + 2 B_sigma(v, w), held as in
     `solver.solve`: z is only read, and d = w - z (2 B_sigma(v, w) on settled
     levels, 0 elsewhere) lives on the dealiased box, where the update size
-    and the final check L[v]w - z = d - 2 B_sigma(v, w) are taken.
+    and the final check L[v]w - z = d - 2 B_sigma(v, w) are taken.  v is
+    transformed to real samples once, for every application of B.
 
-    The fixed point runs on time slabs: B_sigma is causal, so once w is
-    converged on [0, t1] the later slabs only ever read settled values.
+    The fixed point runs on time slabs: B_sigma is causal, so slab [lo, hi)
+    applies B to the levels before hi only, and once w is converged on
+    [0, t1] the later slabs only ever read settled values.
     A round fails when an update exceeds 4x the previous one, when the
     iteration budget runs out, or as soon as the rate of the updates shows
     that the budget cannot suffice.  Then the slab count doubles, shrinking
     the local drift norm, up to 64 slabs or until every slab holds one
     time level, after which doubling leaves the partition unchanged.
     """
-    v, grid, times, nt = handle.drift, z.grid, z.times, z.n_times
+    v, grid, times, nt, n = handle.drift, z.grid, z.times, z.n_times, z.grid.n_points
+    vp = _real_physical(v.coeffs, n)
     scale = max(float(np.max(np.abs(z.coeffs))), 1e-300)
     n_slabs = 1
     while True:
         d = np.zeros((nt, 3) + dealias_box(grid)[3].shape, dtype=complex)
-        w = Trajectory(grid, times, _Levels(grid.n_points, d, z.coeffs))
+        w = Trajectory(grid, times, _Levels(n, d, z.coeffs))
         bounds = _slab_bounds(nt, n_slabs)
         ok = True
         for s in range(n_slabs):
             lo, hi = bounds[s], bounds[s + 1]
             if hi <= lo:
                 continue
+            v_s = Trajectory(grid, times[:hi], v.coeffs[:hi])
+            w_s = Trajectory(grid, times[:hi], _Levels(n, d[:hi], z.coeffs[:hi]))
             deltas = []
             for _ in range(_INVERSION_ITERS):
-                d_next = 2.0 * _bilinear_box(v, w)
-                delta = float(np.max(np.abs(d_next[:hi] - d[:hi])))
+                d_next = 2.0 * _bilinear_box(v_s, w_s, vp[:hi])
+                delta = float(np.max(np.abs(d_next - d[:hi])))
                 d[lo:hi] = d_next[lo:hi]
                 if delta / scale < _INVERSION_TOL:
                     break
@@ -166,8 +171,9 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
             if not ok:
                 break
         if ok:
-            rel = float(np.max(np.abs(d - 2.0 * _bilinear_box(v, w)))) / scale
+            rel = float(np.max(np.abs(d - 2.0 * _bilinear_box(v, w, vp)))) / scale
             if rel < 100 * _INVERSION_TOL:
+                del vp
                 return _add_box(z, d, np.empty_like(z.coeffs))
         if n_slabs >= min(nt, 64):
             break

@@ -85,15 +85,21 @@ def heat_trajectory(u0: SpectralField, times) -> Trajectory:
     return Trajectory(u0.grid, times, coeffs)
 
 
-def nonlinear_term(u: Trajectory, v: Trajectory) -> np.ndarray:
+# real samples per `_box_spectral` call of `nonlinear_term`: a level's six
+# products go in groups of m = min(6, max(1, _PRODUCT_POINTS // N^3))
+_PRODUCT_POINTS = 2**18
+_PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
+
+
+def nonlinear_term(u: Trajectory, v: Trajectory, u_phys=None) -> np.ndarray:
     """g(t) = P grad.(u (x)_sigma v)(t) for all sampled times, as coefficients
     on the dealiased box |n_x|, |n_y| <= K, 0 <= n_z <= K, (nt, 3, 2K+1, 2K+1, K+1).
 
     The symmetrized tensor product is formed pointwise in physical space
     and dealiased by the spherical 2/3 rule (|n| < N/3, so |n_i| <= K) before
     differentiation; the k_z < 0 half of the real product mirrors the box.
-    Each time level is one task on the level pool of `field._map` and fills
-    its own slice of g, so no physical array holds more than one level.
+    Each time level is one task on `field._map`'s pool and fills its own slice
+    of g; only u_phys, u's real samples if given, spans more than one level.
     """
     if u.grid != v.grid:
         raise GridError("trajectories live on different grids")
@@ -102,15 +108,17 @@ def nonlinear_term(u: Trajectory, v: Trajectory) -> np.ndarray:
     K, nn, _, mask = dealias_box(grid)
     k = nn * (TWO_PI / grid.period)
     g = np.zeros((u.n_times, 3) + mask.shape, dtype=np.complex128)
+    m = min(6, max(1, _PRODUCT_POINTS // n**3))
 
     def level(i: int) -> None:
-        up = _real_physical(u.coeffs[i], n)
+        up = _real_physical(u.coeffs[i], n) if u_phys is None else u_phys[i]
         vp = up if v is u else _real_physical(v.coeffs[i], n)
-        for a in range(3):
-            for b in range(a, 3):
-                tab = (up[a] * up[b] if v is u
-                       else 0.5 * (up[a] * vp[b] + vp[a] * up[b]))
-                that = _box_spectral(tab, K) * mask
+        tabs = np.empty((m, n, n, n))
+        for s in range(0, 6, m):
+            pairs = _PAIRS[s:s + m]
+            for t, (a, b) in zip(tabs, pairs):
+                t[...] = up[a] * up[b] if v is u else 0.5 * (up[a] * vp[b] + vp[a] * up[b])
+            for (a, b), that in zip(pairs, _box_spectral(tabs[:len(pairs)], K) * mask):
                 g[i, a] += 1j * k[b] * that
                 if b != a:
                     g[i, b] += 1j * k[a] * that
@@ -141,23 +149,24 @@ def _etd_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def duhamel_integral(k2: np.ndarray, times: np.ndarray, g: np.ndarray,
                      sign: float = 1.0) -> np.ndarray:
     """t -> sign * int_0^t e^{(t-s) Laplacian} g(s) ds on the sampling grid,
-    for coefficients g on any layout whose modes have |k|^2 = k2, written
-    over g (one original level is held aside at a time) and returned."""
+    for g on any layout whose modes have |k|^2 = k2, written over g and
+    returned (one original level held aside, ETD weights once per step size)."""
     held = g[0].copy()
     g[0] = 0.0
-    for i in range(len(times) - 1):
-        dt = float(times[i + 1] - times[i])
-        E, c_lo, c_hi = _etd_weights(k2 * dt)
+    steps = np.diff(times).tolist()
+    weights = {dt: _etd_weights(k2 * dt) for dt in set(steps)}
+    for i, dt in enumerate(steps):
+        E, c_lo, c_hi = weights[dt]
         lo, held = held, g[i + 1].copy()
         g[i + 1] = E * g[i] + dt * (c_lo * lo + c_hi * held)
     g *= sign
     return g
 
 
-def _bilinear_box(u: Trajectory, v: Trajectory) -> np.ndarray:
-    """B(u,v) on the dealiased box, (nt, 3, 2K+1, 2K+1, K+1)."""
+def _bilinear_box(u: Trajectory, v: Trajectory, u_phys=None) -> np.ndarray:
+    """B(u,v) on the dealiased box (nt, 3, 2K+1, 2K+1, K+1); u_phys as in `nonlinear_term`."""
     k2 = dealias_box(u.grid)[2]
-    return duhamel_integral(k2, u.times, nonlinear_term(u, v), sign=-1.0)
+    return duhamel_integral(k2, u.times, nonlinear_term(u, v, u_phys), sign=-1.0)
 
 
 def bilinear_B(u: Trajectory, v: Trajectory) -> Trajectory:

@@ -89,13 +89,14 @@ def test_invert_K_roundtrip(grid):
 
 
 def _count_nonlinear_terms(monkeypatch) -> list:
-    """Count the calls of `solver.nonlinear_term`: every application of B,
-    on the box or in the full layout, makes exactly one."""
+    """Record the calls of `solver.nonlinear_term`, one entry per call holding
+    the time levels of its first argument: every application of B, on the
+    box or in the full layout, makes exactly one."""
     calls = []
 
-    def counting(*args, _fn=solver.nonlinear_term):
-        calls.append(1)
-        return _fn(*args)
+    def counting(u, *args, _fn=solver.nonlinear_term, **kwargs):
+        calls.append(u.n_times)
+        return _fn(u, *args, **kwargs)
 
     monkeypatch.setattr(solver, "nonlinear_term", counting)
     return calls
@@ -172,6 +173,23 @@ def test_invert_K_matches_full_layout_fixed_point(grid, monkeypatch):
         assert np.array_equal(back.coeffs, want.coeffs), amp
         assert len(calls) == n_calls, amp
     assert doubled == [False, False, True]
+
+
+def test_invert_K_applies_B_on_slab_windows(grid, monkeypatch):
+    # slab [lo, hi) applies B to the levels before hi only: the drift that
+    # fails on one slab and converges on two (slabs [0, 2) and [2, 5)) reads
+    # 2 levels in the first slab's applications and 5 in the others
+    cfg = SolverConfig(dt=0.01, n_steps=4)
+    w = heat_trajectory(
+        random_band_limited(grid, j_lo=0, j_hi=2, seed=81, amplitude=0.1), cfg.times)
+    v = heat_trajectory(
+        random_band_limited(grid, j_lo=0, j_hi=2, seed=61, amplitude=450.0), cfg.times)
+    handle = OperatorHandle(v)
+    z = apply_L(handle, w)
+    calls = _count_nonlinear_terms(monkeypatch)
+    invert_K(handle, z)
+    assert set(calls) == {2, z.n_times}
+    assert sum(calls) < len(calls) * z.n_times
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from bnslab.field import (SpectralField, _from_box, dealias, heat_flow,
+from bnslab import solver
+from bnslab.field import (SpectralField, _from_box, _real_physical, dealias, heat_flow,
                           hermitian_symmetrize, leray_project, random_band_limited,
                           set_threads, shell_bump, single_mode)
 from bnslab.grid import GridSpec, dealias_mask, wavenumber_sq, wavevectors
@@ -100,6 +101,29 @@ def test_box_path_matches_full_layout(n, period, same):
     assert np.max(np.abs(b.coeffs - b_ref)) <= 1e-14 * np.max(np.abs(b_ref))
     assert b.hermitian_defect() == 0.0
     assert np.all(b.coeffs[..., ~dealias_mask(grid)] == 0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_nonlinear_term_same_bytes_for_any_product_group(grid, monkeypatch, threads):
+    # a level's six products transformed one at a time (m = 1), in groups of
+    # 4 and 2, or all at once (m = 6), with u's real samples made per level
+    # or passed in: the same bytes, for u is v and for u != v
+    times = np.array([0.0, 0.004, 0.01])
+    u = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=3, seed=63), times)
+    v = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=3, seed=64), times)
+    u_phys = _real_physical(u.coeffs, grid.n_points)
+    set_threads(threads)
+    try:
+        for second in (u, v):
+            want = None
+            for m in (1, 4, 6):
+                monkeypatch.setattr(solver, "_PRODUCT_POINTS", m * grid.n_points**3)
+                for phys in (None, u_phys):
+                    g = nonlinear_term(u, second, phys).tobytes()
+                    want = g if want is None else want
+                    assert g == want, (second is u, m, phys is None)
+    finally:
+        set_threads(0)
 
 
 def test_projection_keeps_nyquist_content_real(grid):
