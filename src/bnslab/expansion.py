@@ -173,7 +173,7 @@ def invert_K(handle: OperatorHandle, z: Trajectory) -> Trajectory:
         if ok:
             rel = float(np.max(np.abs(d - 2.0 * _bilinear_box(v, w, vp)))) / scale
             if rel < 100 * _INVERSION_TOL:
-                del vp
+                del vp  # the drift's samples go before the result is made
                 return _add_box(z, d, np.empty_like(z.coeffs))
         if n_slabs >= min(nt, 64):
             break
