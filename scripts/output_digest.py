@@ -9,8 +9,9 @@ Each line is `<threads> <output> <sha256>`.  The outputs are:
   `iterate`, `expand` (staged), `profiles` (with `extract = true`) and
   `verify-estimates` write on small 32^3 configs;
 * the raw bytes of the 64^3, 17-level `block_norm_matrix` at p = 2, 3, 5;
-* the profiles, schedules and remainders that `extract_profiles` returns
-  on the criterion-12 sequence (64^3);
+* the six fields of the criterion-12 sequence (64^3), made by `synthesize`
+  (dyadic shifts and full-size translation phases), and the profiles,
+  schedules and remainders that `extract_profiles` returns on it;
 * the coefficients of one 32^3, 11-level K[v] round trip,
   `invert_K(apply_L(w))`, with signed zeros folded by `+ 0.0`: K[v] scales
   B by 2 on the dealiased box, before its conjugate mirror to the full
@@ -108,7 +109,7 @@ def matrix_digests() -> dict:
 
 
 def extraction_digests() -> dict:
-    """extract_profiles on the criterion-12 sequence."""
+    """The criterion-12 sequence and extract_profiles on it."""
     grid = GridSpec(64)
     phi1 = random_band_limited(grid, j_lo=1, j_hi=1, seed=21, amplitude=1.0)
     phi2 = random_band_limited(grid, j_lo=0, j_hi=0, seed=22, amplitude=0.7)
@@ -119,7 +120,8 @@ def extraction_digests() -> dict:
                     remainders=[None] * len(ms))
     seq = [synthesize(ps, n, 2, p=3.0) for n in range(len(ms))]
     rec = extract_profiles(seq, j_max=3, threshold=0.01)
-    out = {"extract_profiles/schedules": _sha(rec.manifest_rows().encode())}
+    out = {f"synthesize/seq{n}": _sha(f.coeffs.tobytes()) for n, f in enumerate(seq)}
+    out["extract_profiles/schedules"] = _sha(rec.manifest_rows().encode())
     for name, fields in (("profile", rec.profiles), ("remainder", rec.remainders)):
         for i, f in enumerate(fields):
             out[f"extract_profiles/{name}{i}"] = _sha(f.coeffs.tobytes())

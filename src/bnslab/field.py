@@ -444,13 +444,18 @@ def dyadic_shift(u: _Field, m: int, amplitude: float = 1.0,
     """
     if m == 0:
         return u if amplitude == 1.0 else u * amplitude
+    return _lattice_shift(u, m, amplitude, strict)
+
+
+def _lattice_shift(u: _Field, m: int, amplitude: float, strict: bool, phase=None) -> _Field:
+    """`dyadic_shift` by m != 0; `phase(rows)`, when given, multiplies the kept
+    modes, rows x rows x rows for the fftn rows kept on each axis, first."""
     n = u.grid.n_points
-    half = n // 2
     idx1d = np.fft.fftfreq(n, 1.0 / n).astype(int)
     if m > 0:
         # the Nyquist bin +-N/2 is a single shared slot; landing there
         # would collide Hermitian partners, so treat it as out of range
-        valid = np.abs(idx1d << m) < half
+        valid = np.abs(idx1d << m) < n // 2
         tgt1d = (idx1d << m) % n
     else:
         valid = idx1d % (1 << (-m)) == 0
@@ -462,10 +467,11 @@ def dyadic_shift(u: _Field, m: int, amplitude: float = 1.0,
                 f"dyadic shift by {m} moves populated modes out of the grid"
             )
     keep = np.nonzero(valid)[0]
+    kept = u.coeffs[(Ellipsis,) + np.ix_(keep, keep, keep)]
+    if phase is not None:
+        kept *= phase(keep)
     out = np.zeros_like(u.coeffs)
-    out[(Ellipsis,) + np.ix_(tgt1d[keep], tgt1d[keep], tgt1d[keep])] = (
-        amplitude * u.coeffs[(Ellipsis,) + np.ix_(keep, keep, keep)]
-    )
+    out[(Ellipsis,) + np.ix_(tgt1d[keep], tgt1d[keep], tgt1d[keep])] = amplitude * kept
     return replace(u, coeffs=out)
 
 

@@ -112,19 +112,25 @@ def block_lp_norms(u, p: float) -> np.ndarray:
     + (n_shells,) for any real u with a `.grid` and `.coeffs` (..., 3, N,
     N, N), e.g. a field or a trajectory.  Blocks come from `_blocks`; p = 2
     takes Parseval sums instead.  Each time level is one task (module docstring)."""
+    return _block_lp_norms(u, (p,))[..., 0]
+
+
+def _block_lp_norms(u, ps: tuple) -> np.ndarray:
+    """`block_lp_norms` at each p of `ps` from one set of block samples,
+    shaped coeffs.shape[:-4] + (n_shells, len(ps)); ps = (2,) is Parseval's.
+    The map drops each block once normed."""
     grid = u.grid
-    norm = functools.partial(lp_norm, grid=grid, p=p)  # map drops each block once normed
 
     def level(i):
         c = u.coeffs[i]  # read inside the task: u's levels may be made on read
-        if p == 2.0:
-            return [math.sqrt(grid.period**3 * float(np.sum(w)))
+        if ps == (2.0,):
+            return [[math.sqrt(grid.period**3 * float(np.sum(w)))]
                     for w in _block_energies(c, grid)]
-        return list(map(norm, _blocks(c, grid)))
+        return list(map(lambda b: [lp_norm(b, grid, p) for p in ps], _blocks(c, grid)))
 
     lead = u.coeffs.shape[:-4]
     rows = _map(level, np.ndindex(lead))
-    return np.array(rows, dtype=float).reshape(lead + (grid.n_shells,))
+    return np.array(rows, dtype=float).reshape(lead + (grid.n_shells, len(ps)))
 
 
 def besov_norm(u: SpectralField, idx: BesovIndex) -> float:

@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridError, ResolutionError
-from .field import SpectralField, _Field, _real_physical, dyadic_shift
+from .field import SpectralField, _Field, _lattice_shift, _map, _real_physical, dyadic_shift
 from .grid import GridSpec, TWO_PI, wavevectors
-from .littlewood_paley import (BesovIndex, _blocks, besov_norm, block_lp_norms,
-                               critical_index)
+from .littlewood_paley import (BesovIndex, _block_lp_norms, _blocks, besov_from_blocks,
+                               besov_norm, block_lp_norms, critical_index)
 from .solver import SolverConfig, heat_trajectory, solve
 from .spacetime import script_norm
 
@@ -86,7 +86,8 @@ def scale_op(sc: ScaleCore, u: _Field, p: float = 3.0,
     The coefficient at eta moves to eta/lambda with a phase e^{-i eta'.x_c},
     amplitudes per the chosen normalization (see module docstring).
     With strict=False, modes leaving the representable band are dropped
-    instead of raising.
+    instead of raising.  `translate` evaluates the phase at every mode after
+    the shift: on the shifted lattice only, zeros off it would change sign.
     """
     shift = -sc.m  # lambda = 2^m spreads; frequency moves down by m
     if normalization == "critical":
@@ -100,12 +101,23 @@ def scale_op(sc: ScaleCore, u: _Field, p: float = 3.0,
 
 
 def translate(u: _Field, core: tuple[int, int, int]) -> _Field:
+    """u(x - x_c): each coefficient times e^{-i k.x_c}, evaluated at every mode."""
     if tuple(core) == (0, 0, 0):
         return u
-    x = np.asarray(core, dtype=float) * (u.grid.period / u.grid.n_points)
-    k = wavevectors(u.grid).astype(float) * (TWO_PI / u.grid.period)
-    phase = np.exp(-1j * (k[0] * x[0] + k[1] * x[1] + k[2] * x[2]))
-    return replace(u, coeffs=u.coeffs * phase)
+    return replace(u, coeffs=u.coeffs * _phase(u.grid, core))
+
+
+def _phase(grid: GridSpec, core: tuple[int, int, int], rows=slice(None)) -> np.ndarray:
+    """e^{-i k.x_c} at the modes rows x rows x rows, from one 1-D wavenumber
+    row by the float operations of the `wavevectors` form, element for element;
+    np.exp runs in two x-slabs on the level pool (one per row costs more)."""
+    x = np.asarray(core, dtype=float) * (grid.period / grid.n_points)
+    k = wavevectors(grid)[2, 0, 0, rows].astype(float) * (TWO_PI / grid.period)
+    out, step = np.empty((len(k),) * 3, dtype=complex), -(-len(k) // 2)
+    _map(lambda s: np.exp(-1j * ((k[s, None, None] * x[0] + k[None, :, None] * x[1])
+                                 + k * x[2]), out=out[s]),
+         [slice(i, i + step) for i in range(0, len(k), step)])
+    return out
 
 
 @dataclass
@@ -193,9 +205,8 @@ def max_cross_term(a: SpectralField, v: SpectralField, p: int) -> float:
 
 # -- extraction ---------------------------------------------------------------
 
-def _dominant_shell(u: SpectralField, idx: BesovIndex) -> int:
-    weights = block_lp_norms(u, idx.p)
-    js = list(u.grid.shells)
+def _dominant_shell(weights: np.ndarray, grid: GridSpec, idx: BesovIndex) -> int:
+    js = list(grid.shells)
     scores = [2.0 ** (j * idx.s) * w for j, w in zip(js, weights)]
     return js[int(np.argmax(scores))]
 
@@ -233,13 +244,15 @@ def extract_profiles(
     profiles: list[SpectralField] = []
     schedules: list[list[ScaleCore]] = []
     while True:
-        complete = float(np.mean([besov_norm(residual[n], idx_q)
+        norms = {n: _block_lp_norms(residual[n], (idx_q.p, idx.p)) for n in tail}
+        complete = float(np.mean([besov_from_blocks(norms[n][:, 0], grid, idx_q)
                                   for n in tail])) < threshold
         if complete or len(profiles) == j_max:
             break
         # per-index schedule from the dominant concentration
-        sched = [ScaleCore(1 - _dominant_shell(r, idx), _peak_cell(r))
-                 for r in residual]
+        sched = [ScaleCore(1 - _dominant_shell(norms[n][:, 1] if n in tail else
+                                               block_lp_norms(r, idx.p), grid, idx),
+                           _peak_cell(r)) for n, r in enumerate(residual)]
         sched, cand = _fit(residual, sched, tail, p, 2)
         if besov_norm(cand, idx) < threshold:
             complete = True
@@ -297,11 +310,11 @@ def _update(residual: list[SpectralField], sched: list[ScaleCore],
 
 def _tail_average(residual: list[SpectralField], sched: list[ScaleCore],
                   tail: range, p: float) -> SpectralField:
-    acc = None
-    for n in tail:
-        inv = _unscale(sched[n], residual[n], p)
-        acc = inv if acc is None else acc + inv
-    return acc * (1.0 / len(tail))
+    acc = _unscale(sched[tail[0]], residual[tail[0]], p).coeffs.copy()  # may be a residual's
+    for n in tail[1:]:
+        acc += _unscale(sched[n], residual[n], p).coeffs
+    acc *= 1.0 / len(tail)
+    return replace(residual[0], coeffs=acc)
 
 
 def _align_core(r: SpectralField, cand: SpectralField, m: int,
@@ -322,10 +335,15 @@ def _align_core(r: SpectralField, cand: SpectralField, m: int,
 
 def _unscale(sc: ScaleCore, u: SpectralField, p: float) -> SpectralField:
     """Inverse of scale_op in the critical normalization, dropping modes
-    that do not descend from the coarse lattice (weak-limit filtering)."""
-    back = translate(u, tuple(-c for c in sc.core))
-    amp = 2.0 ** (-sc.m * critical_index(p, p).s)
-    return dyadic_shift(back, sc.m, amplitude=amp, strict=False)
+    that do not descend from the coarse lattice (weak-limit filtering).
+
+    It is translate(u, -x_c) then a non-strict dyadic_shift by m, with the phase
+    evaluated only at the kept modes (1/8 at m = -1): amp * (u * phase) there."""
+    core = tuple(-c for c in sc.core)
+    if sc.m == 0:  # the amplitude is 1 and the shift the identity
+        return translate(u, core)
+    phase = None if core == (0, 0, 0) else lambda rows: _phase(u.grid, core, rows)
+    return _lattice_shift(u, sc.m, 2.0 ** (-sc.m * critical_index(p, p).s), False, phase)
 
 
 # -- evolved decomposition -----------------------------------------------------

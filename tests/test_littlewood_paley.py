@@ -20,6 +20,7 @@ from bnslab.grid import GridSpec, low_pass_multipliers, shell_multipliers
 from bnslab.littlewood_paley import (BesovIndex, bernstein_ratio, besov_norm,
                                      block_lp_norms, critical_index,
                                      reconstruction_defect, shell_energies)
+from bnslab.solver import heat_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +215,15 @@ def test_shell_energies_are_block_l2_squared(grid):
     u = _full_spectrum(grid, seed=23)
     ref = _reference_block_norms(u, 2.0) ** 2
     assert np.max(np.abs(shell_energies(u) - ref) / ref) < 1e-14
+
+
+def test_block_norms_at_several_p_match_separate_calls(grid):
+    # one set of block samples normed at several p gives the bytes of one
+    # block_lp_norms call per p, for a field and a 17-level trajectory
+    u = random_band_limited(grid, j_lo=0, j_hi=grid.j_max, seed=9)
+    traj = heat_trajectory(u, np.linspace(0.0, 0.2, 17))
+    for f in (u, traj):
+        both = littlewood_paley._block_lp_norms(f, (6.0, 3.0))
+        assert both.shape == f.coeffs.shape[:-4] + (grid.n_shells, 2)
+        for i, p in enumerate((6.0, 3.0)):
+            assert both[..., i].tobytes() == block_lp_norms(f, p).tobytes()

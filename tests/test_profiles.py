@@ -7,19 +7,23 @@ exponents; cross terms vanish exactly for shell-disjoint pairs; the
 extractor must round-trip planted syntheses and stay silent on noise.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bnslab import littlewood_paley
 from bnslab.errors import GridError
-from bnslab.field import random_band_limited, scaling_transform, shell_bump
-from bnslab.grid import GridSpec
+from bnslab.field import (dyadic_shift, random_band_limited, scaling_transform,
+                          set_threads, shell_bump)
+from bnslab.grid import TWO_PI, GridSpec, wavevectors
 from bnslab.littlewood_paley import besov_norm, critical_index
-from bnslab.profiles import (ProfileSet, ScaleCore, cross_term,
+from bnslab.profiles import (ProfileSet, ScaleCore, _fit, _unscale, cross_term,
                              extract_profiles, max_cross_term,
                              orthogonality_gap, pythagorean_gap, scale_op,
                              synthesize, translate)
+from bnslab.solver import heat_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +166,80 @@ def test_synthesize_requires_content(grid):
     ps = ProfileSet([], [], [])
     with pytest.raises(GridError):
         synthesize(ps, 0)
+
+
+# -- same bytes as the full-size phase -------------------------------------------
+
+def _full_phase_translate(f, core):
+    """translate as a full-size phase from the (3, N, N, N) wavevectors."""
+    if tuple(core) == (0, 0, 0):
+        return f
+    x = np.asarray(core, dtype=float) * (f.grid.period / f.grid.n_points)
+    k = wavevectors(f.grid).astype(float) * (TWO_PI / f.grid.period)
+    phase = np.exp(-1j * (k[0] * x[0] + k[1] * x[1] + k[2] * x[2]))
+    return replace(f, coeffs=f.coeffs * phase)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scale_core_operators_same_bytes_as_full_phase(grid, threads):
+    # _unscale evaluates its phase on the shift's lattice only and translate
+    # builds it from 1-D rows in slabs; both must keep every byte of the
+    # full-phase formulas: translate then shift, and shift then translate
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=40)
+    traj = heat_trajectory(u, np.linspace(0.0, 0.05, 3))
+    set_threads(threads)
+    try:
+        for core in ((0, 0, 0), (5, -3, 11)):
+            back = tuple(-c for c in core)
+            for f in (u, traj):
+                assert (translate(f, core).coeffs.tobytes()
+                        == _full_phase_translate(f, core).coeffs.tobytes())
+            for m in range(-3, 3):
+                for p in (3.0, 5.0):
+                    s = critical_index(p, p).s
+                    sc = ScaleCore(m, core)
+                    ref = dyadic_shift(_full_phase_translate(u, back), m,
+                                       amplitude=2.0 ** (-m * s), strict=False)
+                    assert _unscale(sc, u, p).coeffs.tobytes() == ref.coeffs.tobytes()
+                    for f in (u, traj):
+                        ref = _full_phase_translate(
+                            dyadic_shift(f, -m, amplitude=2.0 ** (m * s), strict=False), core)
+                        assert (scale_op(sc, f, p, strict=False).coeffs.tobytes()
+                                == ref.coeffs.tobytes())
+    finally:
+        set_threads(0)
+
+
+def test_fit_leaves_residuals_unchanged(grid):
+    # the tail average sums in place; at m = 0 and the origin _unscale
+    # returns the residual itself, which must not become the sum's buffer
+    residual = [random_band_limited(grid, j_lo=0, j_hi=2, seed=50 + n) for n in range(6)]
+    before = [r.coeffs.tobytes() for r in residual]
+    sched = [ScaleCore(-1, (3, 5, 7)), ScaleCore(0, (0, 0, 0))] * 3  # tail starts at m = 0
+    _fit(residual, sched, range(3, 6), 3.0, 1)
+    assert [r.coeffs.tobytes() for r in residual] == before
+
+
+def test_extraction_transforms_each_tail_residual_once_per_round(grid, monkeypatch):
+    # each round past the stop test transforms the blocks of the three tail
+    # residuals once for p = 6 and p = 3 together, those of the three head
+    # residuals and the candidate's (7); this sequence takes three such
+    # rounds (two accepted, one re-detection) and orders two profiles:
+    # 3 * 7 + 2 = 23 passes, where separate p = 6 and p = 3 passes take 32
+    phi1 = random_band_limited(grid, j_lo=0, j_hi=0, seed=21, amplitude=1.0)
+    phi2 = random_band_limited(grid, j_lo=0, j_hi=0, seed=22, amplitude=1.0)
+    ms, seps = (-1, -1, -2, -2, -2, -2), (3, 5, 7, 9, 11, 13)
+    ps = ProfileSet([phi1, phi2], [[ScaleCore(0)] * len(ms),
+                                   [ScaleCore(m, (s, s, s)) for m, s in zip(ms, seps)]],
+                    [None] * len(ms))
+    seq = [synthesize(ps, n, 2) for n in range(len(ms))]
+    passes = []
+    blocks = littlewood_paley._blocks
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return blocks(*args, **kwargs)
+    monkeypatch.setattr(littlewood_paley, "_blocks", counted)
+    out = extract_profiles(seq, j_max=3, threshold=0.01)
+    assert out.n_profiles() == 2
+    assert len(passes) == 23
