@@ -101,7 +101,7 @@ def scale_op(sc: ScaleCore, u: _Field, p: float = 3.0,
 
 
 def translate(u: _Field, core: tuple[int, int, int]) -> _Field:
-    """u(x - x_c): each coefficient times e^{-i k.x_c}, evaluated at every mode."""
+    """u(x - x_c): every mode, as any may be populated, times e^{-i k.x_c}."""
     if tuple(core) == (0, 0, 0):
         return u
     return replace(u, coeffs=u.coeffs * _phase(u.grid, core))
