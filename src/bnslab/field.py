@@ -12,15 +12,17 @@ just a leading axis.  Both share one arithmetic, one compatibility check
 and the defect checks, and every coefficient operator here acts on any
 leading axes and returns the type of its input.  The FFTs, the Leray
 projection and the one thread setting, `set_threads`, live here and
-nowhere else; it also sizes the level pool that `_map` runs tasks on.
+nowhere else; it also sizes the level pool, whose n - 1 helpers run
+`_map`'s tasks with the caller (an idle caller would cost a malloc arena).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,14 +32,14 @@ from .errors import GridError, ResolutionError
 from .grid import GridSpec, TWO_PI, dealias_mask, wavenumber_sq, wavevectors
 
 _WORKERS = -1  # let scipy.fft use all cores
-_POOL: ThreadPoolExecutor | None = None  # the level pool of `_map`, built on first use
+_POOL: ThreadPoolExecutor | None = None  # the n - 1 helpers of `_map`, built on first use
 _POOL_LOCK = threading.Lock()
-_TASK = threading.local()  # `workers` is 1 in the level pool's threads
+_TASK = threading.local()  # `workers` is 1 in a thread running `_map` tasks
 
 
 def set_threads(n: int) -> None:
-    """Cap the package's threads at n (n <= 0 means all cores): the FFT
-    workers of a transform outside the level pool, and the pool's size."""
+    """Cap the package's threads at n (n <= 0: all cores), the caller included:
+    the FFT workers of a transform outside `_map`'s tasks, and its n - 1 helpers."""
     global _WORKERS, _POOL
     _WORKERS = n if n > 0 else -1
     with _POOL_LOCK:
@@ -60,11 +62,14 @@ def _workers() -> int:
 
 
 def _map(fn, items) -> list:
-    """[fn(x) for x in items], one task per item on the level pool, whose
-    transforms use one worker each.  Inline, starting no thread, under
-    set_threads(1), for one item and inside a task (nesting cannot
-    deadlock); a task's exception reaches the caller.  The items are listed
-    before any task runs, so pass indices or views, not arrays made per item."""
+    """[fn(x) for x in items], one task per item, taken in turn from one
+    counter by the caller and the level pool's n - 1 helpers (each pool
+    thread holds its tasks' peak temporaries in a malloc arena of its own,
+    so the caller works rather than waits); every task's transforms use one
+    worker.  Inline, starting no thread, under set_threads(1), for one item
+    and inside a task (nesting cannot deadlock).  A task's exception reaches
+    the caller once every helper has stopped.  The items are listed before
+    any task runs, so pass indices or views, not arrays made per item."""
     global _POOL
     items = list(items)
     n = _WORKERS if _WORKERS > 0 else len(os.sched_getaffinity(0))
@@ -72,9 +77,24 @@ def _map(fn, items) -> list:
         return [fn(x) for x in items]
     with _POOL_LOCK:
         if _POOL is None:
-            _POOL = ThreadPoolExecutor(n, initializer=setattr, initargs=(_TASK, "workers", 1))
+            _POOL = ThreadPoolExecutor(n - 1, initializer=setattr, initargs=(_TASK, "workers", 1))
         pool = _POOL
-    return list(pool.map(fn, items))
+    out, todo = [None] * len(items), itertools.count()  # one C call per next(): atomic
+
+    def work():
+        while (i := next(todo)) < len(items):
+            out[i] = fn(items[i])
+
+    helpers = [pool.submit(work) for _ in range(min(n, len(items)) - 1)]
+    _TASK.workers = 1
+    try:
+        work()
+    finally:
+        del _TASK.workers
+        wait(helpers)
+    for h in helpers:
+        h.result()
+    return out
 
 
 # -- the transforms -----------------------------------------------------------
@@ -447,31 +467,32 @@ def dyadic_shift(u: _Field, m: int, amplitude: float = 1.0,
     return _lattice_shift(u, m, amplitude, strict)
 
 
+def _lattice(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(valid, keep, tgt) of a dyadic shift by m on each axis of N modes: which
+    fftn rows it keeps, their indices and the rows they land on (identity at m = 0)."""
+    idx1d = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    # for m > 0 the Nyquist bin +-N/2 is a single shared slot; landing there
+    # would collide Hermitian partners, so treat it as out of range
+    valid = np.abs(idx1d << m) < n // 2 if m > 0 else idx1d % (1 << (-m)) == 0
+    keep = np.nonzero(valid)[0]
+    return valid, keep, (idx1d[keep] << m if m > 0 else idx1d[keep] >> (-m)) % n
+
+
 def _lattice_shift(u: _Field, m: int, amplitude: float, strict: bool, phase=None) -> _Field:
     """`dyadic_shift` by m != 0; `phase(rows)`, when given, multiplies the kept
     modes, rows x rows x rows for the fftn rows kept on each axis, first."""
-    n = u.grid.n_points
-    idx1d = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    if m > 0:
-        # the Nyquist bin +-N/2 is a single shared slot; landing there
-        # would collide Hermitian partners, so treat it as out of range
-        valid = np.abs(idx1d << m) < n // 2
-        tgt1d = (idx1d << m) % n
-    else:
-        valid = idx1d % (1 << (-m)) == 0
-        tgt1d = (idx1d >> (-m)) % n
+    valid, keep, tgt = _lattice(u.grid.n_points, m)
     if strict and not np.all(valid):
         valid3 = valid[:, None, None] & valid[None, :, None] & valid[None, None, :]
         if np.any(np.abs(u.coeffs[..., ~valid3]) > 0):
             raise ResolutionError(
                 f"dyadic shift by {m} moves populated modes out of the grid"
             )
-    keep = np.nonzero(valid)[0]
     kept = u.coeffs[(Ellipsis,) + np.ix_(keep, keep, keep)]
     if phase is not None:
         kept *= phase(keep)
     out = np.zeros_like(u.coeffs)
-    out[(Ellipsis,) + np.ix_(tgt1d[keep], tgt1d[keep], tgt1d[keep])] = amplitude * kept
+    out[(Ellipsis,) + np.ix_(tgt, tgt, tgt)] = amplitude * kept
     return replace(u, coeffs=out)
 
 

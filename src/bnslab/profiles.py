@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridError, ResolutionError
-from .field import SpectralField, _Field, _lattice_shift, _map, _real_physical, dyadic_shift
+from .field import (SpectralField, _Field, _lattice, _lattice_shift, _map, _real_physical,
+                    dyadic_shift)
 from .grid import GridSpec, TWO_PI, wavevectors
 from .littlewood_paley import (BesovIndex, _block_lp_norms, _blocks, besov_from_blocks,
                                besov_norm, block_lp_norms, critical_index)
@@ -86,8 +87,9 @@ def scale_op(sc: ScaleCore, u: _Field, p: float = 3.0,
     The coefficient at eta moves to eta/lambda with a phase e^{-i eta'.x_c},
     amplitudes per the chosen normalization (see module docstring).
     With strict=False, modes leaving the representable band are dropped
-    instead of raising.  `translate` evaluates the phase at every mode after
-    the shift: on the shifted lattice only, zeros off it would change sign.
+    instead of raising.  The phase is evaluated at every mode after the
+    shift, as `translate` does (on the shifted lattice only, zeros off it
+    would change sign), and multiplied into the shift's new array.
     """
     shift = -sc.m  # lambda = 2^m spreads; frequency moves down by m
     if normalization == "critical":
@@ -97,7 +99,10 @@ def scale_op(sc: ScaleCore, u: _Field, p: float = 3.0,
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
     out = dyadic_shift(u, shift, amplitude=amp, strict=strict)
-    return translate(out, sc.core)
+    if out is u or tuple(sc.core) == (0, 0, 0):  # never write into the input
+        return translate(out, sc.core)
+    np.multiply(out.coeffs, _phase(out.grid, sc.core), out=out.coeffs)
+    return out
 
 
 def translate(u: _Field, core: tuple[int, int, int]) -> _Field:
@@ -213,7 +218,7 @@ def _dominant_shell(weights: np.ndarray, grid: GridSpec, idx: BesovIndex) -> int
 
 def _peak_cell(u: SpectralField) -> tuple[int, int, int]:
     phys = u.physical()
-    mag = np.sum(phys * phys, axis=0)
+    mag = np.sum(np.multiply(phys, phys, out=phys), axis=0)
     return tuple(int(i) for i in np.unravel_index(np.argmax(mag), mag.shape))
 
 
@@ -235,6 +240,10 @@ def extract_profiles(
     Greedy deflation leaves mutual contamination between profiles, so two
     alternating back-fitting sweeps re-estimate each accepted profile
     against the residual with its own contribution restored.
+
+    The tail residuals' block norms, each index's schedule, the core
+    alignment and the residual update run one task per index (`field._map`);
+    the tail average stays serial, so its sum keeps its order and bytes.
     """
     grid = seq[0].grid
     idx = critical_index(p, p)
@@ -244,15 +253,17 @@ def extract_profiles(
     profiles: list[SpectralField] = []
     schedules: list[list[ScaleCore]] = []
     while True:
-        norms = {n: _block_lp_norms(residual[n], (idx_q.p, idx.p)) for n in tail}
+        norms = dict(zip(tail, _map(lambda n: _block_lp_norms(residual[n], (idx_q.p, idx.p)),
+                                    tail)))
         complete = float(np.mean([besov_from_blocks(norms[n][:, 0], grid, idx_q)
                                   for n in tail])) < threshold
         if complete or len(profiles) == j_max:
             break
         # per-index schedule from the dominant concentration
-        sched = [ScaleCore(1 - _dominant_shell(norms[n][:, 1] if n in tail else
-                                               block_lp_norms(r, idx.p), grid, idx),
-                           _peak_cell(r)) for n, r in enumerate(residual)]
+        sched = _map(lambda n: ScaleCore(
+            1 - _dominant_shell(norms[n][:, 1] if n in tail else
+                                block_lp_norms(residual[n], idx.p), grid, idx),
+            _peak_cell(residual[n])), range(len(residual)))
         sched, cand = _fit(residual, sched, tail, p, 2)
         if besov_norm(cand, idx) < threshold:
             complete = True
@@ -261,15 +272,15 @@ def extract_profiles(
             break
         profiles.append(cand)
         schedules.append(sched)
-        _update(residual, sched, cand, p, operator.sub)
+        _update(residual, sched, cand, p, operator.isub)
     cand = None  # a rejected candidate would stay alive through back-fitting
     # back-fitting: refit each profile on the residual with its own
     # contribution restored, cleaning up greedy cross-contamination
     for _ in range(2):
         for jj in range(len(profiles)):
-            _update(residual, schedules[jj], profiles[jj], p, operator.add)
+            _update(residual, schedules[jj], profiles[jj], p, operator.iadd)
             schedules[jj], profiles[jj] = _fit(residual, schedules[jj], tail, p, 1)
-            _update(residual, schedules[jj], profiles[jj], p, operator.sub)
+            _update(residual, schedules[jj], profiles[jj], p, operator.isub)
     # gauge: absorb the last-index schedule into each profile so a
     # constant (identity) schedule round-trips to the planted field
     for jj in range(len(profiles)):
@@ -294,18 +305,19 @@ def _fit(residual: list[SpectralField], sched: list[ScaleCore], tail: range, p: 
     and rebuild the candidate."""
     cand = _tail_average(residual, sched, tail, p)
     for _ in range(rounds):
-        sched = [ScaleCore(sc.m, _align_core(r, cand, sc.m, p))
-                 for r, sc in zip(residual, sched)]
+        sched = _map(lambda n: ScaleCore(sched[n].m,
+                                         _align_core(residual[n], cand, sched[n].m, p)),
+                     range(len(residual)))
         cand = _tail_average(residual, sched, tail, p)
     return sched, cand
 
 
 def _update(residual: list[SpectralField], sched: list[ScaleCore],
             profile: SpectralField, p: float, op) -> None:
-    """residual[n] = op(residual[n], Lambda_n profile) for every index n:
-    operator.add restores a profile, operator.sub deflates it."""
-    for n, sc in enumerate(sched):
-        residual[n] = op(residual[n], scale_op(sc, profile, p, strict=False))
+    """op(residual[n].coeffs, Lambda_n profile) in place, one task per index
+    n: operator.iadd restores a profile, operator.isub deflates it."""
+    _map(lambda n: op(residual[n].coeffs, scale_op(sched[n], profile, p, strict=False).coeffs),
+         range(len(sched)))
 
 
 def _tail_average(residual: list[SpectralField], sched: list[ScaleCore],
@@ -319,17 +331,24 @@ def _tail_average(residual: list[SpectralField], sched: list[ScaleCore],
 
 def _align_core(r: SpectralField, cand: SpectralField, m: int,
                 p: float) -> tuple[int, int, int]:
-    """Grid shift maximizing the circular cross-correlation of r with the
-    scaled (untranslated) candidate."""
-    w = scale_op(ScaleCore(m), cand, p, strict=False)
-    spec = np.sum(np.conj(w.coeffs) * r.coeffs, axis=0)
+    """Grid shift maximizing the circular cross-correlation of r with
+    scale_op(ScaleCore(m), cand), whose spectrum is formed by the same float
+    operations only where that copy lives, in the x planes the inverse reads."""
+    n = r.grid.n_points
+    _, keep, tgt = _lattice(n, -m)
+    read = tgt <= n // 2
+    amp, at = 2.0 ** (m * critical_index(p, p).s), np.ix_(tgt[read], tgt, tgt)
+    w = cand.coeffs[(Ellipsis,) + np.ix_(keep[read], keep, keep)]
+    w = np.conj(np.multiply(amp, w, out=w), out=w)  # in place: tasks run side by side
+    spec = np.zeros((n // 2 + 1, n, n), dtype=complex)
+    spec[at] = np.sum(np.multiply(w, r.coeffs[(Ellipsis,) + at], out=w), axis=0)
     # a periodic scaled candidate gives exactly tied correlation maxima,
     # so rounding decides which one argmax returns, and the duplicate test
     # in extract_profiles depends on that choice; the transpose transforms
     # the last axis first, the order under which
     # test_criterion_12_extraction_roundtrip finds its two profiles
     # (untransposed, it finds three)
-    corr = _real_physical(spec.T, r.grid.n_points).T
+    corr = _real_physical(spec.T, n).T
     return tuple(int(i) for i in np.unravel_index(np.argmax(corr), corr.shape))
 
 

@@ -9,6 +9,7 @@ import pytest
 from bnslab import solver, spacetime
 from bnslab.field import random_band_limited
 from bnslab.grid import GridSpec
+from bnslab.profiles import ProfileSet, ScaleCore, synthesize
 from bnslab.solver import SolverConfig, picard_solve
 
 
@@ -40,6 +41,20 @@ def solved_small(u_small):
     traj, report = picard_solve(u_small, cfg)
     assert report.classification != "picard_diverged"
     return traj, report, cfg
+
+
+@pytest.fixture(scope="session")
+def two_profile_seq(grid32):
+    """A 32^3 analogue of the criterion-12 sequence: two planted shell-0
+    profiles, the second concentrating (m = -1, -2) at moving cores.  Its
+    extraction takes two accepted rounds and one re-detection."""
+    phi1 = random_band_limited(grid32, j_lo=0, j_hi=0, seed=21, amplitude=1.0)
+    phi2 = random_band_limited(grid32, j_lo=0, j_hi=0, seed=22, amplitude=1.0)
+    ms, seps = (-1, -1, -2, -2, -2, -2), (3, 5, 7, 9, 11, 13)
+    ps = ProfileSet([phi1, phi2], [[ScaleCore(0)] * len(ms),
+                                   [ScaleCore(m, (s, s, s)) for m, s in zip(ms, seps)]],
+                    [None] * len(ms))
+    return [synthesize(ps, n, 2) for n in range(len(ms))]
 
 
 @pytest.fixture

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bnslab import littlewood_paley
+from bnslab import littlewood_paley, profiles
 from bnslab.errors import GridError
 from bnslab.field import (dyadic_shift, random_band_limited, scaling_transform,
                           set_threads, shell_bump)
 from bnslab.grid import TWO_PI, GridSpec, wavevectors
 from bnslab.littlewood_paley import besov_norm, critical_index
-from bnslab.profiles import (ProfileSet, ScaleCore, _fit, _unscale, cross_term,
+from bnslab.profiles import (ProfileSet, ScaleCore, _align_core, _fit, _unscale, cross_term,
                              extract_profiles, max_cross_term,
                              orthogonality_gap, pythagorean_gap, scale_op,
                              synthesize, translate)
@@ -220,19 +220,13 @@ def test_fit_leaves_residuals_unchanged(grid):
     assert [r.coeffs.tobytes() for r in residual] == before
 
 
-def test_extraction_transforms_each_tail_residual_once_per_round(grid, monkeypatch):
+def test_extraction_transforms_each_tail_residual_once_per_round(two_profile_seq, monkeypatch):
     # each round past the stop test transforms the blocks of the three tail
     # residuals once for p = 6 and p = 3 together, those of the three head
     # residuals and the candidate's (7); this sequence takes three such
     # rounds (two accepted, one re-detection) and orders two profiles:
     # 3 * 7 + 2 = 23 passes, where separate p = 6 and p = 3 passes take 32
-    phi1 = random_band_limited(grid, j_lo=0, j_hi=0, seed=21, amplitude=1.0)
-    phi2 = random_band_limited(grid, j_lo=0, j_hi=0, seed=22, amplitude=1.0)
-    ms, seps = (-1, -1, -2, -2, -2, -2), (3, 5, 7, 9, 11, 13)
-    ps = ProfileSet([phi1, phi2], [[ScaleCore(0)] * len(ms),
-                                   [ScaleCore(m, (s, s, s)) for m, s in zip(ms, seps)]],
-                    [None] * len(ms))
-    seq = [synthesize(ps, n, 2) for n in range(len(ms))]
+    seq = two_profile_seq
     passes = []
     blocks = littlewood_paley._blocks
 
@@ -243,3 +237,78 @@ def test_extraction_transforms_each_tail_residual_once_per_round(grid, monkeypat
     out = extract_profiles(seq, j_max=3, threshold=0.01)
     assert out.n_profiles() == 2
     assert len(passes) == 23
+
+
+# -- per-index tasks, byte for byte ------------------------------------------------
+
+def test_scale_op_leaves_its_input_untouched_at_m0(grid):
+    # at m = 0 the dyadic shift returns its input, so the phase must not be
+    # multiplied into it
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=41)
+    traj = heat_trajectory(u, np.linspace(0.0, 0.05, 3))
+    for f in (u, traj):
+        before = f.coeffs.tobytes()
+        for normalization in ("critical", "ns"):
+            out = scale_op(ScaleCore(0, (5, -3, 11)), f, 3.0, normalization)
+            assert f.coeffs.tobytes() == before
+            assert out.coeffs.tobytes() == translate(f, (5, -3, 11)).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_align_core_same_bytes_as_scaled_copy(grid, threads, monkeypatch):
+    # _align_core forms the correlation spectrum only where the scaled
+    # candidate lives, in the planes the inverse reads; against the full
+    # formula it must find the same core from bitwise-equal nonzero
+    # correlation values (exact zeros may differ in sign only)
+    p, s = 3.0, critical_index(3.0, 3.0).s
+    n = grid.n_points
+    cand = random_band_limited(grid, j_lo=0, j_hi=2, seed=42)
+    noise = random_band_limited(grid, j_lo=0, j_hi=3, seed=43, amplitude=0.3)
+    seen = []
+    inverse = profiles._real_physical
+
+    def recorded(*args, **kwargs):
+        seen.append(inverse(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(profiles, "_real_physical", recorded)
+    set_threads(threads)
+    try:
+        for m in range(-3, 2):
+            for core in (None, (5, -3, 11)):
+                r = noise if core is None else noise + scale_op(ScaleCore(m, core), cand,
+                                                                p, strict=False)
+                w = dyadic_shift(cand, -m, amplitude=2.0 ** (m * s), strict=False)
+                spec = np.sum(np.conj(w.coeffs) * r.coeffs, axis=0)
+                ref = inverse(spec.T, n).T
+                seen.clear()
+                got = _align_core(r, cand, m, p)
+                assert got == np.unravel_index(np.argmax(ref), ref.shape), (m, core)
+                corr = seen[0].T
+                nonzero = ref != 0
+                assert np.array_equal(corr != 0, nonzero), (m, core)
+                assert corr[nonzero].tobytes() == ref[nonzero].tobytes(), (m, core)
+                if core is not None and w.sup_coeff() > 0:  # the planted core, up to
+                    period = n >> max(0, -m)                 # the copy's period
+                    assert all((g - c) % period == 0 for g, c in zip(got, core)), (m, core)
+    finally:
+        set_threads(0)
+
+
+def test_extraction_same_bytes_for_any_thread_count(two_profile_seq):
+    # the per-index tasks of the level pool must leave every output byte,
+    # and the caller's sequence, as one thread leaves them
+    before = [f.coeffs.tobytes() for f in two_profile_seq]
+
+    def bits(ps):
+        return ([f.coeffs.tobytes() for f in ps.profiles], ps.schedules,
+                [f.coeffs.tobytes() for f in ps.remainders], ps.complete)
+    try:
+        runs = []
+        for threads in (1, 2):
+            set_threads(threads)
+            runs.append(bits(extract_profiles(two_profile_seq, j_max=3, threshold=0.01)))
+    finally:
+        set_threads(0)
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 2
+    assert [f.coeffs.tobytes() for f in two_profile_seq] == before

@@ -2,7 +2,8 @@
 and every block norm through `littlewood_paley.block_lp_norms`.
 
 Oracles: a recording wrapper around scipy.fft shows that the package
-thread setting reaches every transform path; a scan of the package
+thread setting reaches every transform path; tasks that meet at a
+barrier show which threads the level pool runs; a scan of the package
 source shows that no module other than `field` makes a transform or
 holds a worker count, that no module other than `grid` and
 `littlewood_paley` touches the shell multipliers, that fields and
@@ -13,6 +14,7 @@ import ast
 import math
 import os
 import signal
+import sys
 import threading
 import time
 from pathlib import Path
@@ -21,9 +23,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from bnslab.field import _map, random_band_limited, set_threads
+from bnslab.field import _map, _workers, random_band_limited, set_threads
 from bnslab.grid import GridSpec
-from bnslab.profiles import _align_core
+from bnslab.profiles import _align_core, extract_profiles
 from bnslab.solver import SolverConfig, bilinear_B, heat_trajectory, nonlinear_term, solve
 from bnslab.spacetime import block_norm_matrix
 
@@ -34,11 +36,15 @@ TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn"}
 FLOPS_PER_POINT = {"fftn": 5.0, "ifftn": 5.0, "rfftn": 2.5, "irfftn": 2.5}
 
 
-def test_set_threads_caps_every_transform(monkeypatch):
+def test_set_threads_caps_every_transform(monkeypatch, two_profile_seq):
     calls = []  # (workers, thread) of each transform
-    for name in TRANSFORMS:
+    meet, met = None, set()  # under two threads, each thread's first transform
+    for name in TRANSFORMS:  # waits until the other thread's first transform
         def recording(*args, _fn=getattr(scipy.fft, name), **kwargs):
             calls.append((kwargs.get("workers"), threading.get_ident()))
+            if meet is not None and threading.get_ident() not in met:
+                met.add(threading.get_ident())
+                meet.wait()
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, recording)
     grid = GridSpec(32)
@@ -49,6 +55,8 @@ def test_set_threads_caps_every_transform(monkeypatch):
         "block_norm_matrix": lambda: block_norm_matrix(traj, 3.0),
         "nonlinear_term": lambda: nonlinear_term(traj, traj),
         "profile core alignment": lambda: _align_core(u, u, 0, 3.0),
+        "profile extraction": lambda: extract_profiles(two_profile_seq, j_max=3,
+                                                       threshold=0.01),
     }
     serial = {}
     try:
@@ -58,15 +66,18 @@ def test_set_threads_caps_every_transform(monkeypatch):
             serial[name] = run()
             assert calls, f"{name} made no scipy.fft transform"
             assert {w for w, _ in calls} == {1}, (name, calls)
-        # the level pool: levels on pool threads, one transform worker each
+        # the level pool: levels on the caller and one helper, one transform
+        # worker each; both make transforms at once, or the barrier breaks
         set_threads(2)
         for name in ("block_norm_matrix", "nonlinear_term"):
             calls.clear()
+            meet, met = threading.Barrier(2, timeout=30.0), set()
             assert paths[name]().tobytes() == serial[name].tobytes(), name
             assert {w for w, _ in calls} == {1}, (name, calls)
             threads = {t for _, t in calls}
-            assert len(threads) >= 2 and threading.get_ident() not in threads, name
+            assert len(threads) == 2 and threading.get_ident() in threads, name
     finally:
+        meet = None
         set_threads(0)
 
 
@@ -101,28 +112,49 @@ def test_level_pool_gives_the_same_bits():
 
 
 def test_level_pool_nests_inline_raises_and_restarts():
+    caller = threading.current_thread()
+    meet = threading.Barrier(2, timeout=30.0)  # two tasks at once, or it breaks
+    finished = []
+
     def where(_):
-        return threading.get_ident(), _map(lambda _: threading.get_ident(), range(3))
+        meet.wait()
+        return (threading.current_thread(), _workers(),
+                _map(lambda _: threading.current_thread(), range(3)))
 
-    def fail(i):
-        raise ValueError(f"level {i}")
+    def fail_on(side):
+        """A task that raises on `side`'s thread; the other side's task
+        finishes 0.2 s later."""
+        def task(_):
+            meet.wait()
+            mine = "caller" if threading.current_thread() is caller else "helper"
+            if mine == side:
+                raise ValueError(f"level on the {side}")
+            time.sleep(0.2)
+            finished.append(mine)
+        return task
 
-    def pool_names():
-        return set(_map(lambda _: threading.current_thread().name, range(4)))
+    def helper():
+        """The one thread other than the caller that runs two met tasks."""
+        threads = {t for t, _, _ in _map(where, range(2))}
+        assert caller in threads and len(threads) == 2, threads
+        return (threads - {caller}).pop()
 
     grid = GridSpec(32)
     traj = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=5),
                            np.linspace(0.0, 0.02, 4))
     try:
         set_threads(2)
-        for outer, inner in _map(where, range(4)):
-            assert outer != threading.get_ident() and inner == [outer] * 3
-        with pytest.raises(ValueError, match="level") as raised:
-            _map(fail, range(3))
-        assert type(raised.value) is ValueError
-        first = pool_names()
+        for outer, workers, inner in _map(where, range(2)):
+            assert workers == 1 and inner == [outer] * 3
+        for side, other in (("caller", "helper"), ("helper", "caller")):
+            finished.clear()
+            with pytest.raises(ValueError, match=side) as raised:
+                _map(fail_on(side), range(2))
+            assert type(raised.value) is ValueError
+            assert finished == [other]  # every helper stopped before the raise
+        first = helper()
         set_threads(2)  # drops the pool: the next call builds a new one
-        assert pool_names().isdisjoint(first)
+        assert not first.is_alive() and helper() is not first
         set_threads(1)
         started = threading.active_count()
         assert _map(lambda _: threading.get_ident(), range(4)) == [threading.get_ident()] * 4
@@ -130,6 +162,29 @@ def test_level_pool_nests_inline_raises_and_restarts():
         nonlinear_term(traj, traj)
         assert threading.active_count() == started
     finally:
+        set_threads(0)
+
+
+def test_level_pool_hands_out_every_item_once():
+    """More threads than cores, a short switch interval and tasks that sleep
+    so every thread takes items: each item runs exactly once and its result
+    lands at its index."""
+    runs = []
+    interval = sys.getswitchinterval()
+
+    def task(i):
+        time.sleep(1e-4)
+        runs.append(i)
+        return -i
+    try:
+        set_threads(8)
+        sys.setswitchinterval(1e-6)
+        for _ in range(20):
+            runs.clear()
+            assert _map(task, range(200)) == [-i for i in range(200)]
+            assert sorted(runs) == list(range(200))
+    finally:
+        sys.setswitchinterval(interval)
         set_threads(0)
 
 
