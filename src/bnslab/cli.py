@@ -35,7 +35,8 @@ from .solver import SolverConfig, heat_trajectory, bilinear_B, picard_solve, sol
 from .spacetime import (chemin_lerner_norm, embedding_chain_check,
                         kato_interpolation_constant, kato_norm,
                         lebesgue_besov_norm, script_norm)
-from .expansion import duhamel_expand, expand_solution, simple_iteration
+from .expansion import (_check_duhamel_order, duhamel_expand, expand_solution,
+                        simple_iteration)
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bnslab",
@@ -183,9 +184,9 @@ def _exponent(cfg, section: str, key: str, fallback: float) -> float:
     return p
 
 
-def _write_report(out_dir: Path, text: str, name: str = "report.csv") -> None:
+def _write_report(out_dir: Path, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text + "\n")
+    (out_dir / "report.csv").write_text(text + "\n")
 
 
 # -- command handlers -----------------------------------------------------------
@@ -258,6 +259,7 @@ def _cmd_expand(cfg, seed, out_dir) -> dict:
     elif mode == "duhamel":
         n_terms = cfg.getint("expand", "n_terms", fallback=2)
         p = _exponent(cfg, "expand", "p", 10.0)
+        _check_duhamel_order(n_terms, p)
         traj, _, converged = solve(u0, scfg, p)
         if not converged:
             return {"_numerical_failure": True, "classification": "picard_diverged"}
@@ -358,9 +360,9 @@ def _cmd_verify_estimates(cfg, seed, out_dir) -> dict:
     chain = embedding_chain_check(traj, 1.0, 5.0, math.inf, critical_index(3, 5))
     for key, val in chain.items():
         rows.append(f"chain_{key},,,,,{val},,")
-    c_interp = kato_interpolation_constant(traj, 6.0, T=0.25)
+    c_interp = kato_interpolation_constant(traj, 6.0)
     rows.append(f"kato_interp,,,6,,{c_interp},,")
-    kato_rep = bilinear_kato_check(traj, traj, 6.0, 6.0, 6.0, T=0.25)
+    kato_rep = bilinear_kato_check(traj, traj, 6.0, 6.0, 6.0)
     rows.append(f"kato_bilinear,,,6,6,{kato_rep['lhs']},"
                 f"{kato_rep['factor'] * kato_rep['f_norm'] * kato_rep['g_norm']},"
                 f"{kato_rep['constant']}")

@@ -60,6 +60,14 @@ def _rel_script(diff: Trajectory, ref: float, p: float) -> float:
     return script_norm(diff, 1.0, math.inf, p) / max(ref, 1e-300)
 
 
+def _check_duhamel_order(N: int, p: float) -> None:
+    """`duhamel_expand`'s supported orders 2 <= N <= 4 and its guard p > 3(N-1)."""
+    if not 2 <= N <= 4:
+        raise ValueError("duhamel_expand supports 2 <= N <= 4")
+    if p <= 3 * (N - 1):
+        raise ValueError(f"need p > 3(N-1) = {3 * (N - 1)}, got p = {p}")
+
+
 def duhamel_expand(u: Trajectory, u0: SpectralField, N: int,
                    p: float = 10.0) -> ExpansionResult:
     """u = H_N + Z_N with H_N multilinear in u_L = e^{tL}u0 only.
@@ -68,10 +76,7 @@ def duhamel_expand(u: Trajectory, u0: SpectralField, N: int,
     the lowest-order tail term.  Supported for 2 <= N <= 4 under the
     integrability guard p > 3(N-1).
     """
-    if not 2 <= N <= 4:
-        raise ValueError("duhamel_expand supports 2 <= N <= 4")
-    if p <= 3 * (N - 1):
-        raise ValueError(f"need p > 3(N-1) = {3 * (N - 1)}, got p = {p}")
+    _check_duhamel_order(N, p)
     u_lin = heat_trajectory(u0, u.times)
     q = bilinear_B(u, u)  # B(u,u)
     terms = [u_lin]

@@ -275,24 +275,40 @@ def _reverse(c: np.ndarray) -> np.ndarray:
     return np.roll(c[..., ::-1, ::-1, ::-1], 1, axis=(-3, -2, -1))
 
 
+def _power_root(top, p: float, power_sum):
+    """(sum w x^p)^(1/p) from power_sum(s) = sum w (x / s)^p and top = max x,
+    per result entry: s = 1 while top^p is within 2^+-960 (2^64 spare for the
+    sum), else s = top, so that no term underflows and the sum cannot overflow."""
+    with np.errstate(divide="ignore"):
+        bits = np.abs(p * np.log2(top))  # inf at top = 0 or inf
+    scale = np.where(np.isfinite(bits) & (bits > 960.0), top, 1.0)
+    return scale * power_sum(scale) ** (1.0 / p)
+
+
 def lp_norm(phys: np.ndarray, grid: GridSpec, p: float) -> float:
     """L^p norm of a (3,N,N,N) or (N,N,N) sample array by the rectangle rule.
 
     Vector fields use the pointwise Euclidean magnitude, from its square m2.
     p = inf is the grid max (which underestimates the true sup between grid
     points); an integer p <= 8 takes |u|^p as at most four products of m2
-    (times sqrt(m2) when p is odd), and every other p one real power.
+    (times sqrt(m2) when p is odd), every other p one real power; `_power_root` sums.
     """
     m2 = np.einsum("i...,i...->...", phys, phys) if phys.ndim == 4 else phys * phys
+    top = math.sqrt(float(np.max(m2)))
     if math.isinf(p):
-        return math.sqrt(float(np.max(m2)))
-    if p == int(p) and p <= 8:
-        powered = np.sqrt(m2) if p % 2 else m2
-        for _ in range(int(p - 1) // 2):  # in place, once powered is not m2 itself
-            powered = np.multiply(powered, m2, out=None if powered is m2 else powered)
-    else:
-        powered = np.sqrt(m2) ** p
-    return float((np.sum(powered) * grid.cell_volume) ** (1.0 / p))
+        return top
+
+    def power_sum(s):
+        sq = m2 if s == 1.0 else m2 / (s * s)
+        if p == int(p) and p <= 8:
+            powered = np.sqrt(sq) if p % 2 else sq
+            for _ in range(int(p - 1) // 2):  # in place, once powered is not sq itself
+                powered = np.multiply(powered, sq, out=None if powered is sq else powered)
+        else:
+            powered = np.sqrt(sq) ** p
+        return np.sum(powered) * grid.cell_volume
+
+    return float(_power_root(top, p, power_sum))
 
 
 # -- constructors ---------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, _map, _real_physical, lp_norm
+from .field import SpectralField, _map, _power_root, _real_physical, lp_norm
 from .grid import GridSpec, _support_box, low_pass_multipliers, shell_index, shell_multipliers
 
 
@@ -154,7 +154,8 @@ def besov_from_blocks(block_norms: np.ndarray, grid: GridSpec,
     if math.isinf(idx.q):
         norms = np.max(weighted, axis=-1)
     else:
-        norms = np.sum(weighted**idx.q, axis=-1) ** (1.0 / idx.q)
+        norms = _power_root(np.max(weighted, axis=-1), idx.q, lambda s: np.sum(
+            (weighted / s[..., None]) ** idx.q, axis=-1))
     return float(norms) if norms.ndim == 0 else norms
 
 

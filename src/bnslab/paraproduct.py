@@ -196,26 +196,21 @@ def heat_block_decay_rates(u: SpectralField) -> list[tuple[int, float, float]]:
 
 # -- bilinear Kato bound ---------------------------------------------------------
 
-def bilinear_kato_check(
-    f: Trajectory,
-    g: Trajectory,
-    p: float,
-    q: float,
-    r: float,
-    T: float = math.inf,
-) -> dict:
-    """Empirical constant for ||B(f,g)||_{K_r(T)} against the bound
+def bilinear_kato_check(f: Trajectory, g: Trajectory, p: float, q: float,
+                        r: float) -> dict:
+    """Empirical constant for ||B(f,g)||_{K_r} against the bound
     c [ (1/p + 1/q)^{-1} + (1/3 + 1/r - 1/p - 1/q)^{-1} ]
-      ||f||_{K_p(T)} ||g||_{K_q(T)}."""
+      ||f||_{K_p} ||g||_{K_q},
+    each Kato norm K_p taken over the trajectory's times (see `kato_norm`)."""
     inv = 1.0 / p + 1.0 / q
     if not (0.0 < inv < 1.0 / 3.0 + 1.0 / r):
         raise ValueError("exponent window violated: need 0 < 1/p + 1/q < 1/3 + 1/r")
     if not (1.0 / r <= inv <= 1.0):
         raise ValueError("exponent window violated: need 1/r <= 1/p + 1/q <= 1")
     b = bilinear_B(f, g)
-    lhs = kato_norm(b, r, T)
-    nf = kato_norm(f, p, T)
-    ng = kato_norm(g, q, T)
+    lhs = kato_norm(b, r)
+    nf = kato_norm(f, p)
+    ng = kato_norm(g, q)
     factor = 1.0 / inv + 1.0 / (1.0 / 3.0 + 1.0 / r - inv)
     rhs = factor * nf * ng
     return {

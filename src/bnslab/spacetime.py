@@ -1,6 +1,9 @@
 """Space-time norms over trajectories: Chemin-Lerner, the two-exponent
 scaling-invariant family, and Kato norms.
 
+Every norm and check is taken over the trajectory it is given, from
+times[0] to times[-1]; there is no window argument.  For [0, T], pass the
+prefix Trajectory(grid, times[:k+1], coeffs[:k+1]) with times[k] = T.
 Time integrals use the composite trapezoid rule on the trajectory's own
 grid; suprema are maxima over sampled times.  Singular weights t^a with
 a < 0 are evaluated from the first positive sample onward.
@@ -13,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .field import SpectralField, Trajectory, scaling_transform
+from .field import SpectralField, Trajectory, _power_root, scaling_transform
 from .grid import GridSpec
 from .littlewood_paley import BesovIndex, besov_from_blocks, block_lp_norms, critical_index
 
@@ -45,28 +48,20 @@ def _spatial_lp(traj: Trajectory, p: float) -> np.ndarray:
     return np.array([SpectralField(traj.grid, c).lp(p) for c in traj.coeffs])
 
 
-def _window(traj: Trajectory, t1: float, t2: float) -> Trajectory:
-    """The samples in [t1, t2], as a view."""
-    t2 = min(t2, traj.t_final)
-    if t1 < traj.times[0] - 1e-15 or t2 > traj.t_final + 1e-15 or t1 >= t2:
-        raise ValueError(f"window [{t1}, {t2}] outside trajectory range")
-    lo = np.searchsorted(traj.times, t1 - 1e-15)
-    hi = np.searchsorted(traj.times, t2 + 1e-15, side="right")
-    if hi <= lo:
-        raise ValueError(f"window [{t1}, {t2}] holds no sampled time")
-    return Trajectory(traj.grid, traj.times[lo:hi], traj.coeffs[lo:hi])
-
-
 def _time_norms(values: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
     """L^rho norms in time along the leading axis of values: row i is the
     norm on [times[0], times[i]] (cumulative trapezoid, or running maximum
-    for rho = inf), so the last row is the norm on the whole window."""
+    for rho = inf), so the last row is the norm on the whole trajectory."""
     if math.isinf(rho):
         return np.maximum.accumulate(values, axis=0)
-    powered = values**rho
     dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
-    steps = np.cumsum(dt * (powered[1:] + powered[:-1]) / 2.0, axis=0)
-    return np.concatenate([np.zeros_like(powered[:1]), steps]) ** (1.0 / rho)
+
+    def power_sum(s):
+        powered = (values / s) ** rho
+        steps = np.cumsum(dt * (powered[1:] + powered[:-1]) / 2.0, axis=0)
+        return np.concatenate([np.zeros_like(powered[:1]), steps])
+
+    return _power_root(np.max(values, axis=0), rho, power_sum)
 
 
 def _script_prefix(mat: np.ndarray, times: np.ndarray, grid: GridSpec,
@@ -82,31 +77,21 @@ def _script_prefix(mat: np.ndarray, times: np.ndarray, grid: GridSpec,
 
 # -- the norms -------------------------------------------------------------
 
-def chemin_lerner_norm(
-    traj: Trajectory, idx: BesovIndex, rho: float,
-    t1: float = 0.0, t2: float = math.inf,
-) -> float:
-    """|| 2^{js} ||Delta_j u||_{L^rho([t1,t2]; L^p)} ||_{l^q}."""
-    win = _window(traj, t1, t2)
-    mat = block_norm_matrix(win, idx.p)
-    return besov_from_blocks(_time_norms(mat, win.times, rho)[-1], traj.grid, idx)
+def chemin_lerner_norm(traj: Trajectory, idx: BesovIndex, rho: float) -> float:
+    """|| 2^{js} ||Delta_j u||_{L^rho_t L^p} ||_{l^q}."""
+    mat = block_norm_matrix(traj, idx.p)
+    return besov_from_blocks(_time_norms(mat, traj.times, rho)[-1], traj.grid, idx)
 
 
-def lebesgue_besov_norm(
-    traj: Trajectory, idx: BesovIndex, rho: float,
-    t1: float = 0.0, t2: float = math.inf,
-) -> float:
-    """|| ||u(t)||_{B^s_{p,q}} ||_{L^rho([t1,t2])} (time norm outside)."""
-    win = _window(traj, t1, t2)
-    besov = besov_from_blocks(block_norm_matrix(win, idx.p), traj.grid, idx)
-    return float(_time_norms(besov, win.times, rho)[-1])
+def lebesgue_besov_norm(traj: Trajectory, idx: BesovIndex, rho: float) -> float:
+    """|| ||u(t)||_{B^s_{p,q}} ||_{L^rho_t} (time norm outside)."""
+    besov = besov_from_blocks(block_norm_matrix(traj, idx.p), traj.grid, idx)
+    return float(_time_norms(besov, traj.times, rho)[-1])
 
 
-def script_norm(
-    traj: Trajectory, a: float, b: float, p: float, q: float | None = None,
-    T: float = math.inf,
-) -> float:
-    """The two-exponent scaling-invariant family on [0, T].
+def script_norm(traj: Trajectory, a: float, b: float, p: float,
+                q: float | None = None) -> float:
+    """The two-exponent scaling-invariant family.
 
     Realized as the max of the Chemin-Lerner endpoint norms at exponents
     r in {a, b} with regularity s_p + 2/r each; interior exponents
@@ -114,9 +99,8 @@ def script_norm(
     """
     if a > b:
         raise ValueError("script norm requires a <= b")
-    win = _window(traj, 0.0, T)
-    mat = block_norm_matrix(win, p)
-    return float(_script_prefix(mat, win.times, traj.grid, a, b, p, q)[-1])
+    mat = block_norm_matrix(traj, p)
+    return float(_script_prefix(mat, traj.times, traj.grid, a, b, p, q)[-1])
 
 
 def _kato_sup(times: np.ndarray, values: np.ndarray, q: float, order: int) -> float:
@@ -127,8 +111,8 @@ def _kato_sup(times: np.ndarray, values: np.ndarray, q: float, order: int) -> fl
     return float(np.max(times[pos] ** power * values[pos], initial=0.0))
 
 
-def kato_norm(traj: Trajectory, q: float, T: float = math.inf, order: int = 0) -> float:
-    """Kato norms on (0, T]: order 0 is sup t^{-s_q/2} ||u(t)||_{L^q},
+def kato_norm(traj: Trajectory, q: float, order: int = 0) -> float:
+    """Kato norms: order 0 is sup t^{-s_q/2} ||u(t)||_{L^q},
     order 1 is sup t^{1/2 - s_q/2} ||u(t)||_{B^1_{q,inf}}.
 
     The sup runs over sampled times t > 0 only.
@@ -137,8 +121,8 @@ def kato_norm(traj: Trajectory, q: float, T: float = math.inf, order: int = 0) -
         raise ValueError("Kato norms require q > 3")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    lo, hi = np.searchsorted(traj.times, [0.0, T + 1e-15], side="right")
-    part = Trajectory(traj.grid, traj.times[lo:hi], traj.coeffs[lo:hi])
+    lo = np.searchsorted(traj.times, 0.0, side="right")
+    part = Trajectory(traj.grid, traj.times[lo:], traj.coeffs[lo:])
     if order == 1:
         values = besov_from_blocks(block_norm_matrix(part, q), traj.grid,
                                    BesovIndex(1.0, q, math.inf))
@@ -149,31 +133,26 @@ def kato_norm(traj: Trajectory, q: float, T: float = math.inf, order: int = 0) -
 
 # -- structural checks -----------------------------------------------------
 
-def embedding_chain_check(
-    traj: Trajectory, rho1: float, q: float, rho2: float, idx: BesovIndex,
-    t1: float = 0.0, t2: float = math.inf,
-) -> dict:
+def embedding_chain_check(traj: Trajectory, rho1: float, q: float, rho2: float,
+                          idx: BesovIndex) -> dict:
     """Embedding chain between time-inside and time-outside Besov norms.
 
     For rho1 <= q <= rho2 (q is the Besov third index), Minkowski gives
     CL^{rho1} <= Leb^{rho1} and Leb^{rho2} <= CL^{rho2}, and Hoelder on
-    the finite window gives CL^{rho1} <= T^{1/rho1-1/rho2} CL^{rho2}.
+    the trajectory's span T = t_final - times[0] gives
+    CL^{rho1} <= T^{1/rho1-1/rho2} CL^{rho2}.
     Returns the four values, the Hoelder factor, and a pass flag with
     1e-9 slack.
     """
     if not (1 <= rho1 <= q <= rho2):
         raise ValueError("embedding chain requires 1 <= rho1 <= q <= rho2")
     idx = replace(idx, q=q)
-    win = _window(traj, t1, t2)
-    mat = block_norm_matrix(win, idx.p)
+    mat = block_norm_matrix(traj, idx.p)
     besov = besov_from_blocks(mat, traj.grid, idx)
-    leb1, leb2 = (float(_time_norms(besov, win.times, r)[-1]) for r in (rho1, rho2))
-    cl1, cl2 = (besov_from_blocks(_time_norms(mat, win.times, r)[-1], traj.grid, idx)
+    leb1, leb2 = (float(_time_norms(besov, traj.times, r)[-1]) for r in (rho1, rho2))
+    cl1, cl2 = (besov_from_blocks(_time_norms(mat, traj.times, r)[-1], traj.grid, idx)
                 for r in (rho1, rho2))
-    T = min(t2, traj.t_final) - t1
-    inv_gap = (1.0 / rho1 if not math.isinf(rho1) else 0.0) - (
-        1.0 / rho2 if not math.isinf(rho2) else 0.0)
-    holder = T**inv_gap
+    holder = (traj.t_final - float(traj.times[0])) ** (1.0 / rho1 - 1.0 / rho2)
     slack = 1e-9
     ok = (
         cl1 <= leb1 * (1 + slack) + slack
@@ -187,16 +166,15 @@ def embedding_chain_check(
     }
 
 
-def kato_interpolation_constant(traj: Trajectory, p: float, T: float = math.inf) -> float:
+def kato_interpolation_constant(traj: Trajectory, p: float) -> float:
     """C with ||f||_K_p <= C ||f||_{L^inf B^{s_p}_{p,inf}}^{p/(2p-3)}
     ||f||_{K1_p}^{(p-3)/(2p-3)}; returns the observed ratio."""
     if p <= 3:
         raise ValueError("requires p > 3")
     sp = critical_index(p, p).s
-    kato = kato_norm(traj, p, T, order=0)
-    win = _window(traj, 0.0, T)
-    mat = block_norm_matrix(win, p)
-    kato1 = _kato_sup(win.times, besov_from_blocks(
+    kato = kato_norm(traj, p, order=0)
+    mat = block_norm_matrix(traj, p)
+    kato1 = _kato_sup(traj.times, besov_from_blocks(
         mat, traj.grid, BesovIndex(1.0, p, math.inf)), p, order=1)
     linf = float(np.max(besov_from_blocks(mat, traj.grid,
                                           BesovIndex(sp, p, math.inf))))

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bnslab import cli
 from bnslab.cli import main
 from bnslab.field import SpectralField, random_band_limited, set_threads
 from bnslab.grid import GridSpec
@@ -270,6 +271,20 @@ def test_expand_command(tmp_path, no_monitor):
     assert code == 0
     report = (out / "report.csv").read_text()
     assert "residual" in report
+
+
+@pytest.mark.parametrize("setting", ["n_terms = 5\np = 20", "n_terms = 3\np = 6"],
+                         ids=["n_terms", "p"])
+def test_exit_2_on_bad_duhamel_order_before_solving(tmp_path, monkeypatch, setting):
+    # an unsupported order or p <= 3(n_terms - 1) is a config error, found
+    # before the Picard solve, whatever that solve would do
+    def fail(*args, **kwargs):
+        raise AssertionError("solve called")
+    monkeypatch.setattr(cli, "solve", fail)
+    body = SOLVE + f"[expand]\nmode = duhamel\n{setting}\n"
+    code, out = run(tmp_path, "expand", body, "--seed", "4")
+    assert code == 2
+    assert not (out / "error.csv").exists()
 
 
 def test_iterate_command(tmp_path, no_monitor):

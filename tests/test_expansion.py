@@ -37,6 +37,14 @@ def base_solution(grid):
     return u0, traj, cfg
 
 
+def test_expand_solution_k4_residual_is_measured(grid):
+    # k = 4 is p = 46: the residual's p-th power sums must not underflow to
+    # an exact 0 (criterion 09's datum)
+    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=74, amplitude=0.05)
+    res = expand_solution(u0, 4, SolverConfig(dt=0.01, n_steps=10))
+    assert 0.0 < res.residual < 1e-8
+
+
 def test_duhamel_expand_orders(base_solution):
     u0, traj, _ = base_solution
     r2 = duhamel_expand(traj, u0, 2)

@@ -50,6 +50,15 @@ def test_lp_norm_large_integer_p(grid):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("p", [3.0, 10.0, 46.0, 94.0])
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e4])
+def test_lp_norm_is_homogeneous_at_large_p(grid, c, p):
+    # |u|^p leaves the float range at these c and p; the norm must not
+    phys = random_band_limited(grid, j_lo=0, j_hi=2, seed=1).physical()
+    assert lp_norm(c * phys, grid, p) == pytest.approx(
+        c * lp_norm(phys, grid, p), rel=1e-13, abs=0.0)
+
+
 def test_l2_parseval(grid):
     u = random_band_limited(grid, j_lo=0, j_hi=2, seed=1)
     phys = u.physical()

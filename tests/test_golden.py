@@ -173,7 +173,7 @@ def case_spacetime_norms(grid):
     step = simple_iteration(u0, heat_trajectory(u0, sol.times),
                             bilinear_B(sol, sol), 1)[0]
     rel.update({f"chain_{k}": v for k, v in chain.items() if k != "ok"})
-    rel["kato_interpolation"] = kato_interpolation_constant(traj, 6.0, T=0.25)
+    rel["kato_interpolation"] = kato_interpolation_constant(traj, 6.0)
     rel["v_sup_l3"] = step["v_sup_l3"]
     rel["w_l3"] = step["w_l3"]
     return {

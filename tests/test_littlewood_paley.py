@@ -93,6 +93,16 @@ def test_criticality_under_scaling(grid):
             assert besov_norm(v, idx) == pytest.approx(base, rel=1e-6)
 
 
+@pytest.mark.parametrize("p", [3.0, 10.0, 46.0, 94.0])
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e4])
+def test_besov_norm_is_homogeneous_at_large_p(grid, c, p):
+    # neither the block norms nor the q = p shell sum underflow or overflow
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=1)
+    idx = critical_index(p, p)
+    assert besov_norm(c * u, idx) == pytest.approx(
+        c * besov_norm(u, idx), rel=1e-13, abs=0.0)
+
+
 def test_noncritical_index_not_invariant(grid):
     u = random_band_limited(grid, j_lo=1, j_hi=2, seed=13)
     idx = BesovIndex(0.0, 6.0, 6.0)  # off the critical line (s_6 = -1/2)

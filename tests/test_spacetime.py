@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from bnslab import spacetime
-from bnslab.field import random_band_limited, single_mode
+from bnslab.field import Trajectory, random_band_limited, single_mode
 from bnslab.grid import GridSpec
-from bnslab.littlewood_paley import BesovIndex, besov_norm, critical_index
+from bnslab.littlewood_paley import (BesovIndex, besov_from_blocks, besov_norm,
+                                     critical_index)
 from bnslab.solver import heat_trajectory
 from bnslab.spacetime import (chemin_lerner_norm, constant_trajectory,
                               embedding_chain_check, kato_interpolation_constant,
@@ -118,6 +119,61 @@ def test_chain_and_interpolation_read_one_block_matrix(grid, monkeypatch):
     calls.clear()
     kato_interpolation_constant(traj, 6.0)
     assert calls == [6.0]
+
+
+@pytest.fixture(scope="module")
+def heat_traj(grid):
+    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=38)
+    return heat_trajectory(u0, np.linspace(0.0, 0.4, 9))
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 9), (0, 1)], ids=["from_t3", "one_level"])
+def test_norms_take_the_trajectory_they_are_given(heat_traj, lo, hi):
+    # a trajectory that starts after t = 0, or holds one level, is its own
+    # time window: each norm is the one built from its block-norm matrix
+    traj = Trajectory(heat_traj.grid, heat_traj.times[lo:hi], heat_traj.coeffs[lo:hi])
+    idx = critical_index(3.0, 3.0)
+    mat = spacetime.block_norm_matrix(traj, idx.p)
+
+    def cl(rho, ix=idx):
+        return besov_from_blocks(spacetime._time_norms(mat, traj.times, rho)[-1],
+                                 traj.grid, ix)
+
+    def leb(rho):
+        besov = besov_from_blocks(mat, traj.grid, idx)
+        return float(spacetime._time_norms(besov, traj.times, rho)[-1])
+
+    for rho in (1.0, 2.0, math.inf):
+        assert chemin_lerner_norm(traj, idx, rho) == cl(rho)
+        assert lebesgue_besov_norm(traj, idx, rho) == leb(rho)
+    assert script_norm(traj, 1.0, math.inf, 3.0) == max(
+        cl(1.0, BesovIndex(idx.s + 2.0, 3.0, 3.0)), cl(math.inf))
+    chain = embedding_chain_check(traj, 2.0, 3.0, math.inf, idx)
+    assert (chain["lebesgue_rho1"], chain["chemin_lerner_rho1"],
+            chain["chemin_lerner_rho2"], chain["lebesgue_rho2"]) == (
+        leb(2.0), cl(2.0), cl(math.inf), leb(math.inf))
+    assert chain["holder_factor"] == (traj.t_final - heat_traj.times[lo]) ** 0.5
+    assert chain["ok"]
+
+
+def test_kato_norm_ignores_the_level_at_t0(heat_traj, grid):
+    # the Kato sup runs over t > 0 only, so the datum's level never enters
+    coeffs = heat_traj.coeffs.copy()
+    coeffs[0] = random_band_limited(grid, j_lo=0, j_hi=2, seed=39).coeffs
+    other = Trajectory(grid, heat_traj.times, coeffs)
+    for order in (0, 1):
+        assert kato_norm(other, 6.0, order=order) == kato_norm(heat_traj, 6.0, order=order)
+
+
+@pytest.mark.parametrize("p", [3.0, 10.0, 46.0, 94.0])
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e4])
+def test_script_norm_is_homogeneous_at_large_p(grid, c, p):
+    # the block norms, the shell sum and the L^p time integral (r = p)
+    # neither underflow nor overflow
+    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=1)
+    traj = heat_trajectory(u0, np.linspace(0.0, 0.1, 5))
+    assert script_norm(c * traj, 1.0, p, p) == pytest.approx(
+        c * script_norm(traj, 1.0, p, p), rel=1e-13, abs=0.0)
 
 
 def test_rescale_trajectory_invariance(grid):
