@@ -15,9 +15,9 @@ import pytest
 import scipy.fft
 
 from bnslab import solver
-from bnslab.field import (SpectralField, _from_box, _real_physical, dealias, heat_flow,
-                          hermitian_symmetrize, leray_project, random_band_limited,
-                          set_threads, shell_bump, single_mode, Trajectory)
+from bnslab.field import (SpectralField, Trajectory, _from_box, _real_physical, dealias,
+                          heat_flow, hermitian_symmetrize, leray_project,
+                          random_band_limited, set_threads, shell_bump, single_mode)
 from bnslab.grid import GridSpec, dealias_mask, wavenumber_sq, wavevectors
 from bnslab.littlewood_paley import besov_norm, critical_index
 from bnslab.solver import (SolverConfig, _etd_weights, bilinear_B,
