@@ -176,11 +176,11 @@ def _solver_config(cfg) -> SolverConfig:
     )
 
 
-def _exponent(cfg, section: str, key: str, fallback: float) -> float:
-    """The integrability exponent [section] key: finite and at least 1."""
+def _exponent(cfg, section: str, key: str, fallback: float, lo: float = 1.0) -> float:
+    """The integrability exponent [section] key: finite and at least lo."""
     p = cfg.getfloat(section, key, fallback=fallback)
-    if not (math.isfinite(p) and p >= 1):
-        raise ConfigError(f"[{section}] {key}={p} must be finite and >= 1")
+    if not (math.isfinite(p) and p >= lo):
+        raise ConfigError(f"[{section}] {key}={p} must be finite and >= {lo:g}")
     return p
 
 
@@ -205,6 +205,8 @@ def _cmd_norms(cfg, seed, out_dir) -> dict:
     u = _field(cfg, grid, seed)
     p = _exponent(cfg, "norms", "p", 3.0)
     q = _exponent(cfg, "norms", "q", 6.0)
+    if q <= 3:
+        raise ConfigError(f"[norms] q={q} must be > 3 for the Kato norms")
     t_final = cfg.getfloat("norms", "t_final", fallback=0.5)
     n_steps = cfg.getint("norms", "n_steps", fallback=32)
     if not (math.isfinite(t_final) and t_final > 0):
@@ -255,6 +257,8 @@ def _cmd_expand(cfg, seed, out_dir) -> dict:
     mode = cfg.get("expand", "mode", fallback="staged")
     if mode == "staged":
         k = cfg.getint("expand", "k", fallback=2)
+        if k < 0:
+            raise ConfigError(f"[expand] k must be >= 0, got {k}")
         result = expand_solution(u0, k, scfg)
     elif mode == "duhamel":
         n_terms = cfg.getint("expand", "n_terms", fallback=2)
@@ -278,12 +282,14 @@ def _cmd_iterate(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     u0 = _field(cfg, grid, seed)
     scfg = _solver_config(cfg)
+    j_steps = cfg.getint("iterate", "j_steps", fallback=4)
+    if j_steps < 1:
+        raise ConfigError(f"[iterate] j_steps must be >= 1, got {j_steps}")
     traj, _, converged = solve(u0, scfg)
     if not converged:
         return {"_numerical_failure": True, "classification": "picard_diverged"}
     v0 = heat_trajectory(u0, traj.times)
     w0 = bilinear_B(traj, traj)
-    j_steps = cfg.getint("iterate", "j_steps", fallback=4)
     records = simple_iteration(u0, v0, w0, j_steps)
     rows = ["j,defect,v_sup_l3,w_l3"]
     rows += [f"{r['j']},{r['defect']},{r['v_sup_l3']},{r['w_l3']}" for r in records]
@@ -300,7 +306,7 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
                                     fallback=" ".join("0" for _ in ms)).split()]
     if len(seps) != len(ms):
         raise ConfigError("m_sweep and sep_sweep must have equal length")
-    p = _exponent(cfg, "profiles", "p", 3.0)
+    p = _exponent(cfg, "profiles", "p", 3.0, lo=2.0)  # the cross terms need 1 <= r < p
     idx = critical_index(p, p)
     scheds2 = tuple(ScaleCore(m, (s, s, s)) for m, s in zip(ms, seps))
     ps = ProfileSet(profiles=(phi1, phi2),

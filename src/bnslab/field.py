@@ -100,6 +100,7 @@ def _map(fn, items) -> list:
 # -- the transforms -----------------------------------------------------------
 # Every FFT in the package goes through `_to_spectral`, `_real_physical` and
 # `_box_spectral`, on the last three axes of a batched array (nt, 3, N, N, N).
+# An inverse skips the lines a caller knows, or measures (`_sparse`), to be empty.
 
 def _to_spectral(phys: np.ndarray) -> np.ndarray:
     """Coefficients of real-space sample arrays."""
@@ -134,24 +135,40 @@ def _from_box(n: int, box: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_physical(half: np.ndarray, n: int, rows: np.ndarray | None = None) -> np.ndarray:
+def _occupied(c: np.ndarray) -> tuple:
+    """Masks of the x rows, y rows and z planes of c (..., X, Y, Z) holding a nonzero."""
+    occ = np.any(c, axis=tuple(range(c.ndim - 3)))
+    return tuple(np.any(occ, axis=tuple({0, 1, 2} - {a})) for a in range(3))
+
+
+def _sparse(half: np.ndarray, n: int) -> tuple:
+    """Index and `_real_physical` rows of the lines of `half` (..., N, N, >= N/2 + 1)
+    holding nonzero k_z >= 0 modes; its k_z >= 0 planes and None if they span > N/2."""
+    x, y, z = (np.flatnonzero(a) for a in _occupied(half[..., : n // 2 + 1]))
+    if 2 * max(len(x), len(y)) > n:
+        return (slice(None), slice(None), slice(n // 2 + 1)), None
+    nz = z[-1] + 1 if len(z) else 0
+    return np.ix_(x, y, np.arange(nz)), (x, y, nz)
+
+
+def _real_physical(half: np.ndarray, n: int, rows: tuple | None = None) -> np.ndarray:
     """Real samples of Hermitian coefficients from their first N/2 + 1
     k_z >= 0 planes (the k_z < 0 half of a real field mirrors them, and any
-    planes past N/2 are not read), by `irfftn`.  With `rows`, `half` holds
-    only the x and y modes at those fftn rows, and the inverse skips the
-    zero lines: x over the occupied y-z lines, then y over every x, then
-    the real z pass."""
+    planes past N/2 are not read), by `irfftn`.  With `rows` = (xs, ys, nz),
+    `half` holds only the modes at fftn x rows xs, y rows ys and k_z < nz,
+    and the inverse skips the zero lines in `irfftn`'s order: x over the
+    occupied y-z lines, then y over every x, then the real z pass."""
     if rows is None:
         return sfft.irfftn(half[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
                            norm="forward", workers=_workers())
-    lead, nz = half.shape[:-3], half.shape[-1]
-    buf = np.zeros(lead + (n, len(rows), nz), dtype=complex)
-    buf[..., rows, :, :] = half
-    xs = sfft.ifftn(buf, axes=(-3,), norm="forward", workers=_workers(), overwrite_x=True)
+    (xs, ys, nz), lead = rows, half.shape[:-3]
+    buf = np.zeros(lead + (n, len(ys), nz), dtype=complex)
+    buf[..., xs, :, :] = half
+    xt = sfft.ifftn(buf, axes=(-3,), norm="forward", workers=_workers(), overwrite_x=True)
     buf = np.zeros(lead + (n, n, nz), dtype=complex)
-    buf[..., rows, :] = xs
-    ys = sfft.ifftn(buf, axes=(-2,), norm="forward", workers=_workers(), overwrite_x=True)
-    return sfft.irfftn(ys, s=(n,), axes=(-1,), norm="forward", workers=_workers())
+    buf[..., ys, :] = xt
+    yt = sfft.ifftn(buf, axes=(-2,), norm="forward", workers=_workers(), overwrite_x=True)
+    return sfft.irfftn(yt, s=(n,), axes=(-1,), norm="forward", workers=_workers())
 
 
 class _Field:
@@ -186,7 +203,8 @@ class _Field:
     # -- diagnostics -----------------------------------------------------
     def physical(self) -> np.ndarray:
         """Real-space samples, shape (..., 3, N, N, N), of the real field."""
-        return _real_physical(self.coeffs, self.grid.n_points)
+        box, rows = _sparse(self.coeffs, self.grid.n_points)
+        return _real_physical(self.coeffs[(Ellipsis,) + box], self.grid.n_points, rows)
 
     def sup_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs)))

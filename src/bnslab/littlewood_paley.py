@@ -1,10 +1,10 @@
 """Littlewood-Paley blocks and homogeneous Besov norms.
 
-`_blocks` is the one source of block samples, one block at a time and on
-request with the trimmed tails S_{j_min} u and (Id - S_{j_max+1}) u that
-make the blocks telescope to u; the engine, the Bony split and the cross
-terms read it.  `reconstruction_defect` checks that telescoping on the
-coefficients, holding one running sum and one block at a time.
+`_block_halves` gathers the blocks' half spectra, one block at a time and on
+request with the trimmed tails S_{j_min} u and (Id - S_{j_max+1}) u that make
+the blocks telescope to u, for the engine, and `_blocks` their samples for the
+Bony split and the cross terms.  `reconstruction_defect` checks that
+telescoping on the coefficients, holding one running sum and one block at a time.
 
 `block_lp_norms` is the one block-norm engine behind every Besov,
 Chemin-Lerner, script and Kato norm.  It never forms a full complex block,
@@ -15,10 +15,10 @@ polynomial is Parseval's vol * sum |delta_j c|^2, with no transform.  And
 delta_j vanishes exactly outside |n_i| <= K (K read from the multiplier),
 so when 2(2K+1) <= N the inverse skips lines that hold only zeros
 (Sorensen & Burrus 1993): x over the (2K+1)(K+1) occupied y-z lines, y
-over N(K+1), then the real z pass.  Wider shells take the plain
-`irfftn`, where pruning saves no work but costs memory.  The time levels
-of a trajectory are independent, so the engine runs one level per task on
-the level pool of `field._map`; one field's shells stay on one thread.
+over N(K+1), then the real z pass.  A wider shell skips the lines its data
+leaves empty when the rest span at most half the grid on x and on y, and a
+zero block is normed 0.0 untransformed.  Time levels are independent, so the
+engine runs one level per task on the pool of `field._map`, shells on one thread.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, _map, _power_root, _real_physical, lp_norm
-from .grid import GridSpec, _support_box, low_pass_multipliers, shell_index, shell_multipliers
+from .field import SpectralField, _map, _power_root, _real_physical, _sparse, lp_norm
+from .grid import GridSpec, low_pass_multipliers, shell_index, shell_multipliers
 
 
 @dataclass(frozen=True)
@@ -75,29 +75,29 @@ def _multipliers(grid: GridSpec, tails: bool):
 
 @functools.lru_cache(maxsize=8)
 def _block_plans(grid: GridSpec) -> tuple:
-    """Per multiplier of `_multipliers(grid, True)`, the index of the k_z >= 0
-    modes it can occupy and their x and y fftn rows (None when too wide to
-    prune); index data only, so clearing the grid caches frees every multiplier."""
-    n = grid.n_points
-    freqs = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)
-    plans = []
-    for m in _multipliers(grid, True):
-        # radial multiplier: its extent K along x is its extent on every axis
-        k = int(np.max(freqs[np.any(m != 0, axis=(1, 2))], initial=0))
-        if 2 * (2 * k + 1) <= n:
-            plans.append(_support_box(n, k))
-        else:
-            plans.append(((slice(None), slice(None), slice(n // 2 + 1)), None))
-    return tuple(plans)
+    """Per multiplier of `_multipliers(grid, True)`, `field._sparse` of the modes
+    it can occupy (rows None when too wide to prune); index data only, so
+    clearing the grid caches frees every multiplier."""
+    return tuple(_sparse(m, grid.n_points) for m in _multipliers(grid, True))
+
+
+def _block_halves(c: np.ndarray, grid: GridSpec, tails: bool = False):
+    """Per block Delta_j u of the real field with coefficients c (3, N, N, N), with
+    `tails` S_{j_min} u first and (Id - S_{j_max+1}) u last, its gathered k_z >= 0
+    coefficients and `_real_physical` rows, a wide shell's on the lines it occupies."""
+    plans = _block_plans(grid)
+    for m, (box, rows) in zip(_multipliers(grid, tails), plans if tails else plans[1:-1]):
+        half = c[(Ellipsis,) + box] * m[box]
+        if rows is None:
+            box, rows = _sparse(half, grid.n_points)
+            half = half[(Ellipsis,) + box]
+        yield half, rows
 
 
 def _blocks(c: np.ndarray, grid: GridSpec, tails: bool = False):
-    """Real samples of Delta_j u for the resolved shells of the real field
-    with coefficients c (3, N, N, N); with `tails`, S_{j_min} u comes first
-    and (Id - S_{j_max+1}) u last (see the module docstring)."""
-    plans = _block_plans(grid)
-    for m, (box, rows) in zip(_multipliers(grid, tails), plans if tails else plans[1:-1]):
-        yield _real_physical(c[(Ellipsis,) + box] * m[box], grid.n_points, rows)
+    """Real samples of the blocks of `_block_halves` (see the module docstring)."""
+    return (_real_physical(half, grid.n_points, rows)
+            for half, rows in _block_halves(c, grid, tails))
 
 
 def _block_energies(c: np.ndarray, grid: GridSpec):
@@ -110,7 +110,7 @@ def _block_energies(c: np.ndarray, grid: GridSpec):
 def block_lp_norms(u, p: float) -> np.ndarray:
     """||Delta_j u||_{L^p} for the resolved shells, shaped coeffs.shape[:-4]
     + (n_shells,) for any real u with a `.grid` and `.coeffs` (..., 3, N,
-    N, N), e.g. a field or a trajectory.  Blocks come from `_blocks`; p = 2
+    N, N), e.g. a field or a trajectory.  Blocks come from `_block_halves`; p = 2
     takes Parseval sums instead.  Each time level is one task (module docstring)."""
     return _block_lp_norms(u, (p,))[..., 0]
 
@@ -118,15 +118,21 @@ def block_lp_norms(u, p: float) -> np.ndarray:
 def _block_lp_norms(u, ps: tuple) -> np.ndarray:
     """`block_lp_norms` at each p of `ps` from one set of block samples,
     shaped coeffs.shape[:-4] + (n_shells, len(ps)); ps = (2,) is Parseval's.
-    The map drops each block once normed."""
+    Each block is dropped once normed."""
     grid = u.grid
+
+    def norms(half, rows):
+        if rows is not None and not np.any(half):  # a zero block: no transform
+            return [0.0] * len(ps)
+        b = _real_physical(half, grid.n_points, rows)
+        return [lp_norm(b, grid, p) for p in ps]
 
     def level(i):
         c = u.coeffs[i]  # read inside the task: u's levels may be made on read
         if ps == (2.0,):
             return [[math.sqrt(grid.period**3 * float(np.sum(w)))]
                     for w in _block_energies(c, grid)]
-        return list(map(lambda b: [lp_norm(b, grid, p) for p in ps], _blocks(c, grid)))
+        return [norms(*block) for block in _block_halves(c, grid)]
 
     lead = u.coeffs.shape[:-4]
     rows = _map(level, np.ndindex(lead))

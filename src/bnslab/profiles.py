@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridError, ResolutionError
-from .field import (SpectralField, _Field, _lattice, _lattice_shift, _map, _real_physical,
-                    dyadic_shift)
+from .field import (SpectralField, _Field, _lattice, _lattice_shift, _map, _occupied,
+                    _real_physical, dyadic_shift)
 from .grid import GridSpec, TWO_PI, wavevectors
 from .littlewood_paley import (BesovIndex, _block_lp_norms, _blocks, besov_from_blocks,
                                besov_norm, block_lp_norms, critical_index)
@@ -305,9 +305,9 @@ def _fit(residual: list[SpectralField], sched: list[ScaleCore], tail: range, p: 
     and rebuild the candidate."""
     cand = _tail_average(residual, sched, tail, p)
     for _ in range(rounds):
-        sched = _map(lambda n: ScaleCore(sched[n].m,
-                                         _align_core(residual[n], cand, sched[n].m, p)),
-                     range(len(residual)))
+        occupied = _occupied(cand.coeffs)
+        sched = _map(lambda n: ScaleCore(sched[n].m, _align_core(
+            residual[n], cand, sched[n].m, p, occupied)), range(len(residual)))
         cand = _tail_average(residual, sched, tail, p)
     return sched, cand
 
@@ -329,26 +329,26 @@ def _tail_average(residual: list[SpectralField], sched: list[ScaleCore],
     return replace(residual[0], coeffs=acc)
 
 
-def _align_core(r: SpectralField, cand: SpectralField, m: int,
-                p: float) -> tuple[int, int, int]:
+def _align_core(r: SpectralField, cand: SpectralField, m: int, p: float,
+                occupied: tuple | None = None) -> tuple[int, int, int]:
     """Grid shift maximizing the circular cross-correlation of r with
     scale_op(ScaleCore(m), cand), whose spectrum is formed by the same float
-    operations only where that copy lives, in the x planes the inverse reads."""
+    operations, and inverted, only at the images of cand's `occupied` rows
+    (else `field._occupied(cand.coeffs)`), in the x planes the inverse reads."""
     n = r.grid.n_points
     _, keep, tgt = _lattice(n, -m)
-    read = tgt <= n // 2
-    amp, at = 2.0 ** (m * critical_index(p, p).s), np.ix_(tgt[read], tgt, tgt)
-    w = cand.coeffs[(Ellipsis,) + np.ix_(keep[read], keep, keep)]
+    x, y, z = (mask[keep] for mask in (occupied or _occupied(cand.coeffs)))
+    x &= tgt <= n // 2
+    amp, at = 2.0 ** (m * critical_index(p, p).s), np.ix_(tgt[x], tgt[y], tgt[z])
+    w = cand.coeffs[(Ellipsis,) + np.ix_(keep[x], keep[y], keep[z])]
     w = np.conj(np.multiply(amp, w, out=w), out=w)  # in place: tasks run side by side
-    spec = np.zeros((n // 2 + 1, n, n), dtype=complex)
-    spec[at] = np.sum(np.multiply(w, r.coeffs[(Ellipsis,) + at], out=w), axis=0)
-    # a periodic scaled candidate gives exactly tied correlation maxima,
-    # so rounding decides which one argmax returns, and the duplicate test
-    # in extract_profiles depends on that choice; the transpose transforms
-    # the last axis first, the order under which
-    # test_criterion_12_extraction_roundtrip finds its two profiles
-    # (untransposed, it finds three)
-    corr = _real_physical(spec.T, n).T
+    spec = np.zeros((int(np.max(tgt[x], initial=-1)) + 1,) + w.shape[-2:], dtype=complex)
+    spec[tgt[x]] = np.sum(np.multiply(w, r.coeffs[(Ellipsis,) + at], out=w), axis=0)
+    # a periodic scaled candidate gives exactly tied correlation maxima, and
+    # rounding decides which one argmax returns: the transpose transforms the
+    # last axis first, the order under which test_criterion_12_extraction_roundtrip
+    # finds its two profiles (untransposed, it finds three)
+    corr = _real_physical(spec.T, n, (tgt[z], tgt[y], len(spec))).T
     return tuple(int(i) for i in np.unravel_index(np.argmax(corr), corr.shape))
 
 

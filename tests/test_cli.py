@@ -341,6 +341,29 @@ def test_profiles_command(tmp_path):
         assert float(row.split(",")[2]) == pythagorean_gap(ps, n, idx, 2)
 
 
+@pytest.mark.parametrize("command, body, key, first", [
+    ("iterate", SOLVE + "[iterate]\nj_steps = 0\n", "[iterate] j_steps", "solve"),
+    ("iterate", SOLVE + "[iterate]\nj_steps = -2\n", "[iterate] j_steps", "solve"),
+    ("norms", GEN + "[norms]\nq = 3\n", "[norms] q", "heat_trajectory"),
+    ("expand", SOLVE + "[expand]\nmode = staged\nk = -1\n", "[expand] k",
+     "expand_solution"),
+    ("profiles", PROFILES + "p = 1\n", "[profiles] p", "pythagorean_gap"),
+], ids=["iterate_j_steps_0", "iterate_j_steps_neg", "norms_q", "expand_k", "profiles_p"])
+def test_exit_2_on_bad_setting_before_numerics(tmp_path, monkeypatch, capsys, command,
+                                               body, key, first):
+    # a value the numerics would reject late, or not at all, is a config
+    # error that names its key, found where it is read: the first numerical
+    # step of the command must not run
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{first} called")
+    monkeypatch.setattr(cli, first, fail)
+    code, out = run(tmp_path, command, body, "--seed", "4")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not (out / "error.csv").exists()
+
+
 def test_verify_estimates_command(tmp_path):
     body = "[grid]\nn_points = 32\n[verify]\nn_fields = 2\n"
     code, out = run(tmp_path, "verify-estimates", body, "--seed", "3")

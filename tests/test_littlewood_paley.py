@@ -14,13 +14,14 @@ import pytest
 import scipy.fft
 
 from bnslab import littlewood_paley
-from bnslab.field import (Trajectory, hermitian_symmetrize, random_band_limited,
-                          scaling_transform, shell_bump, single_mode)
+from bnslab.field import (SpectralField, Trajectory, hermitian_symmetrize, lp_norm,
+                          random_band_limited, scaling_transform, set_threads, shell_bump,
+                          single_mode, zero_field)
 from bnslab.grid import GridSpec, low_pass_multipliers, shell_multipliers
 from bnslab.littlewood_paley import (BesovIndex, bernstein_ratio, besov_norm,
                                      block_lp_norms, critical_index,
                                      reconstruction_defect, shell_energies)
-from bnslab.solver import heat_trajectory
+from bnslab.solver import bilinear_B, heat_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +238,89 @@ def test_block_norms_at_several_p_match_separate_calls(grid):
         assert both.shape == f.coeffs.shape[:-4] + (grid.n_shells, 2)
         for i, p in enumerate((6.0, 3.0)):
             assert both[..., i].tobytes() == block_lp_norms(f, p).tobytes()
+
+
+# -- inverses pruned to the data's support, byte for byte ----------------------------
+
+@pytest.fixture(scope="module")
+def sparse_cases():
+    """64^3 inputs whose wide shells (3, 4 and the top tail) are sparse,
+    exactly zero or dense: a heat trajectory of a j <= 2 datum, one level of
+    bilinear_B (held on the dealiased box), six-mode and filled-shell
+    profiles, a bump in shells 2 and 3 whose other shells are exactly zero,
+    and the zero field."""
+    grid = GridSpec(64)
+    heat = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=51, amplitude=0.05),
+                           np.array([0.0, 0.05]))
+    return {"heat": heat,
+            "bilinear_B": SpectralField(grid, bilinear_B(heat, heat).coeffs[-1]),
+            "six_mode": random_band_limited(grid, j_lo=1, j_hi=1, seed=52),
+            "filled_shell": shell_bump(grid, 1, seed=53),
+            "zero_shells": shell_bump(grid, 2, seed=54),
+            "zero": zero_field(grid)}
+
+
+def _plain(c, n):
+    """Real samples by the plain irfftn of the whole k_z >= 0 half."""
+    return scipy.fft.irfftn(c[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
+                            norm="forward")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pruned_inverses_same_bytes_as_plain_irfftn(sparse_cases, threads):
+    # skipping zero blocks and the empty lines of sparse ones must leave every
+    # byte of the plain irfftn path in the block norms, and in the block
+    # samples (tails included) and physical samples up to the sign of an
+    # exact zero (a skipped line of -0.0 inputs comes out +0.0); the bump's
+    # shell 3 is pruned to 23 of 64 x rows, and its shell 4 is empty
+    shells = [r for _, r in littlewood_paley._block_halves(
+        sparse_cases["zero_shells"].coeffs, GridSpec(64))]
+    assert [len(r[0]) for r in shells[:4]] == [7, 15, 31, 23] and shells[4][2] == 0
+    set_threads(threads)
+    try:
+        for name, u in sparse_cases.items():
+            grid, n = u.grid, u.grid.n_points
+            lows = low_pass_multipliers(grid)
+            multipliers = [lows[0], *shell_multipliers(grid), 1.0 - lows[-1]]
+            assert (u.physical() + 0.0).tobytes() == (_plain(u.coeffs, n) + 0.0).tobytes(), name
+            ref = {p: [] for p in (2.0, 2.5, 3.0, 6.0, math.inf)}
+            for c in u.coeffs.reshape((-1,) + u.coeffs.shape[-4:]):
+                blocks = list(littlewood_paley._blocks(c, grid, tails=True))
+                assert len(blocks) == len(multipliers)
+                for got, m in zip(blocks, multipliers):
+                    assert (got + 0.0).tobytes() == (_plain(c * m, n) + 0.0).tobytes(), name
+                energy = np.sum(np.abs(c) ** 2, axis=0)
+                ref[2.0] += [math.sqrt(grid.period**3 * float(np.sum(m * m * energy)))
+                             for m in multipliers[1:-1]]
+                for p in (2.5, 3.0, 6.0, math.inf):
+                    ref[p] += [lp_norm(b, grid, p) for b in blocks[1:-1]]
+            for p, norms in ref.items():
+                want = np.array(norms).reshape(u.coeffs.shape[:-4] + (grid.n_shells,))
+                assert block_lp_norms(u, p).tobytes() == want.tobytes(), (name, p)
+    finally:
+        set_threads(0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_zero_shells_make_no_inverse_transform(threads, monkeypatch):
+    # the heat flow keeps a j <= 2 datum's modes |n| <= 8, so the wide shells
+    # 3 and 4 of a 64^3 grid are exactly zero and are normed 0.0 untransformed;
+    # shells 0-2 keep their pruned passes over 7, 15 and 31 x rows
+    grid = GridSpec(64)
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=55, amplitude=0.05)
+    traj = heat_trajectory(u, np.linspace(0.0, 0.25, 17))
+    calls = []
+    inverse = littlewood_paley._real_physical
+
+    def counted(half, n, rows=None):
+        calls.append(rows)
+        return inverse(half, n, rows)
+    monkeypatch.setattr(littlewood_paley, "_real_physical", counted)
+    set_threads(threads)
+    try:
+        norms = block_lp_norms(traj, 3.0)
+    finally:
+        set_threads(0)
+    assert np.all(norms[:, :3] > 0.0) and np.all(norms[:, 3:] == 0.0)
+    assert len(calls) == 17 * 3
+    assert sorted(len(rows[0]) for rows in calls) == [7] * 17 + [15] * 17 + [31] * 17

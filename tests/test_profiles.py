@@ -6,6 +6,7 @@ operator is an isometry of the critical norm at quadrature-exact
 exponents; cross terms vanish exactly for shell-disjoint pairs; the
 extractor must round-trip planted syntheses and stay silent on noise.
 """
+import itertools
 import math
 from dataclasses import replace
 
@@ -228,12 +229,12 @@ def test_extraction_transforms_each_tail_residual_once_per_round(two_profile_seq
     # 3 * 7 + 2 = 23 passes, where separate p = 6 and p = 3 passes take 32
     seq = two_profile_seq
     passes = []
-    blocks = littlewood_paley._blocks
+    blocks = littlewood_paley._block_halves  # what the engine and `_blocks` read
 
     def counted(*args, **kwargs):
         passes.append(1)
         return blocks(*args, **kwargs)
-    monkeypatch.setattr(littlewood_paley, "_blocks", counted)
+    monkeypatch.setattr(littlewood_paley, "_block_halves", counted)
     out = extract_profiles(seq, j_max=3, threshold=0.01)
     assert out.n_profiles() == 2
     assert len(passes) == 23
@@ -254,15 +255,23 @@ def test_scale_op_leaves_its_input_untouched_at_m0(grid):
             assert out.coeffs.tobytes() == translate(f, (5, -3, 11)).coeffs.tobytes()
 
 
+def _mode_gcd(f):
+    """The gcd of the wavenumbers of f's modes: f has period N / gcd."""
+    occupied = np.any(f.coeffs != 0, axis=0)
+    return int(np.gcd.reduce(np.abs(wavevectors(f.grid)[:, occupied]).ravel()))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_align_core_same_bytes_as_scaled_copy(grid, threads, monkeypatch):
     # _align_core forms the correlation spectrum only where the scaled
     # candidate lives, in the planes the inverse reads; against the full
     # formula it must find the same core from bitwise-equal nonzero
-    # correlation values (exact zeros may differ in sign only)
+    # correlation values (exact zeros may differ in sign only), for a
+    # candidate filling shells 0-2 and a six-mode one of small support
     p, s = 3.0, critical_index(3.0, 3.0).s
     n = grid.n_points
-    cand = random_band_limited(grid, j_lo=0, j_hi=2, seed=42)
+    cands = (random_band_limited(grid, j_lo=0, j_hi=2, seed=42),
+             random_band_limited(grid, j_lo=1, j_hi=1, seed=44))
     noise = random_band_limited(grid, j_lo=0, j_hi=3, seed=43, amplitude=0.3)
     seen = []
     inverse = profiles._real_physical
@@ -273,7 +282,7 @@ def test_align_core_same_bytes_as_scaled_copy(grid, threads, monkeypatch):
     monkeypatch.setattr(profiles, "_real_physical", recorded)
     set_threads(threads)
     try:
-        for m in range(-3, 2):
+        for cand, m in itertools.product(cands, range(-3, 2)):
             for core in (None, (5, -3, 11)):
                 r = noise if core is None else noise + scale_op(ScaleCore(m, core), cand,
                                                                 p, strict=False)
@@ -288,7 +297,7 @@ def test_align_core_same_bytes_as_scaled_copy(grid, threads, monkeypatch):
                 assert np.array_equal(corr != 0, nonzero), (m, core)
                 assert corr[nonzero].tobytes() == ref[nonzero].tobytes(), (m, core)
                 if core is not None and w.sup_coeff() > 0:  # the planted core, up to
-                    period = n >> max(0, -m)                 # the copy's period
+                    period = (n >> max(0, -m)) // _mode_gcd(cand)  # the copy's period
                     assert all((g - c) % period == 0 for g, c in zip(got, core)), (m, core)
     finally:
         set_threads(0)
