@@ -136,14 +136,14 @@ def _from_box(n: int, box: np.ndarray) -> np.ndarray:
 
 
 def _occupied(c: np.ndarray) -> tuple:
-    """Masks of the x rows, y rows and z planes of c (..., X, Y, Z) holding a nonzero."""
+    """Masks of the x rows, y rows and z planes of c (..., X, Y, Z) holding a nonzero value."""
     occ = np.any(c, axis=tuple(range(c.ndim - 3)))
     return tuple(np.any(occ, axis=tuple({0, 1, 2} - {a})) for a in range(3))
 
 
 def _sparse(half: np.ndarray, n: int) -> tuple:
     """Index and `_real_physical` rows of the lines of `half` (..., N, N, >= N/2 + 1)
-    holding nonzero k_z >= 0 modes; its k_z >= 0 planes and None if they span > N/2."""
+    holding nonzero k_z >= 0 modes; its k_z >= 0 planes and None past N/2 rows on x or y."""
     x, y, z = (np.flatnonzero(a) for a in _occupied(half[..., : n // 2 + 1]))
     if 2 * max(len(x), len(y)) > n:
         return (slice(None), slice(None), slice(n // 2 + 1)), None
