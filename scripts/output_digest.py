@@ -11,7 +11,10 @@ Each line is `<threads> <output> <sha256>`.  The outputs are:
 * the raw bytes of the 64^3, 17-level `block_norm_matrix` at p = 2, 3, 5;
 * the six fields of the criterion-12 sequence (64^3), made by `synthesize`
   (dyadic shifts and full-size translation phases), and the profiles,
-  schedules and remainders that `extract_profiles` returns on it;
+  schedules and remainders that `extract_profiles` returns on it, and the
+  `block_norm_matrix` at p = 3, 6 of the six fields stacked as a 6-level
+  trajectory with times 0..5 (sparse lattice data, whose narrow shells the
+  block engine transforms only over the lines they occupy);
 * the coefficients of one 32^3, 11-level K[v] round trip,
   `invert_K(apply_L(w))`, with signed zeros folded by `+ 0.0`: K[v] scales
   B by 2 on the dealiased box, before its conjugate mirror to the full
@@ -20,9 +23,9 @@ Each line is `<threads> <output> <sha256>`.  The outputs are:
 
 The command outputs go to a temporary directory.  The script exits 1 when
 the two thread settings give different bytes.  It calls only long-standing
-names (the CLI, `set_threads`, `block_norm_matrix`, `extract_profiles`,
-`apply_L`, `invert_K`), so it also runs on an older checkout for a
-before/after comparison.
+names (the CLI, `set_threads`, `Trajectory`, `block_norm_matrix`,
+`extract_profiles`, `apply_L`, `invert_K`), so it also runs on an older
+checkout for a before/after comparison.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from bnslab.cli import main as bnslab
 from bnslab.expansion import OperatorHandle, apply_L, invert_K
-from bnslab.field import random_band_limited, set_threads
+from bnslab.field import Trajectory, random_band_limited, set_threads
 from bnslab.grid import GridSpec
 from bnslab.profiles import ProfileSet, ScaleCore, extract_profiles, synthesize
 from bnslab.solver import SolverConfig, heat_trajectory
@@ -109,7 +112,7 @@ def matrix_digests() -> dict:
 
 
 def extraction_digests() -> dict:
-    """The criterion-12 sequence and extract_profiles on it."""
+    """The criterion-12 sequence, its block norms and extract_profiles on it."""
     grid = GridSpec(64)
     phi1 = random_band_limited(grid, j_lo=1, j_hi=1, seed=21, amplitude=1.0)
     phi2 = random_band_limited(grid, j_lo=0, j_hi=0, seed=22, amplitude=0.7)
@@ -121,6 +124,10 @@ def extraction_digests() -> dict:
     seq = [synthesize(ps, n, 2, p=3.0) for n in range(len(ms))]
     rec = extract_profiles(seq, j_max=3, threshold=0.01)
     out = {f"synthesize/seq{n}": _sha(f.coeffs.tobytes()) for n, f in enumerate(seq)}
+    stacked = Trajectory(grid, np.arange(float(len(seq))), np.stack([f.coeffs for f in seq]))
+    for p in (3, 6):
+        out[f"synthesize/block_norm_matrix/p{p}"] = _sha(
+            block_norm_matrix(stacked, float(p)).tobytes())
     out["extract_profiles/schedules"] = _sha(rec.manifest_rows().encode())
     for name, fields in (("profile", rec.profiles), ("remainder", rec.remainders)):
         for i, f in enumerate(fields):

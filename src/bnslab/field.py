@@ -31,17 +31,18 @@ import scipy.fft as sfft
 from .errors import GridError, ResolutionError
 from .grid import GridSpec, TWO_PI, dealias_mask, wavenumber_sq, wavevectors
 
-_WORKERS = -1  # let scipy.fft use all cores
 _POOL: ThreadPoolExecutor | None = None  # the n - 1 helpers of `_map`, built on first use
 _POOL_LOCK = threading.Lock()
 _TASK = threading.local()  # `workers` is 1 in a thread running `_map` tasks
 
 
 def set_threads(n: int) -> None:
-    """Cap the package's threads at n (n <= 0: all cores), the caller included:
-    the FFT workers of a transform outside `_map`'s tasks, and its n - 1 helpers."""
+    """Cap the package's threads at n, the caller included: the FFT workers of a
+    transform outside `_map`'s tasks, and its n - 1 helpers.  n <= 0, the default,
+    means the cores of the process's CPU affinity (the machine's without one)."""
     global _WORKERS, _POOL
-    _WORKERS = n if n > 0 else -1
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    _WORKERS = n if n > 0 else len(affinity(0)) if affinity else os.cpu_count() or 1
     with _POOL_LOCK:
         if _POOL is not None:
             _POOL.shutdown()
@@ -55,6 +56,7 @@ def _forget_pool() -> None:
 
 
 os.register_at_fork(after_in_child=_forget_pool)
+set_threads(0)  # sets _WORKERS, the package's thread cap
 
 
 def _workers() -> int:
@@ -71,8 +73,7 @@ def _map(fn, items) -> list:
     the caller once every helper has stopped.  The items are listed before
     any task runs, so pass indices or views, not arrays made per item."""
     global _POOL
-    items = list(items)
-    n = _WORKERS if _WORKERS > 0 else len(os.sched_getaffinity(0))
+    items, n = list(items), _WORKERS
     if n == 1 or len(items) < 2 or hasattr(_TASK, "workers"):
         return [fn(x) for x in items]
     with _POOL_LOCK:
@@ -100,7 +101,7 @@ def _map(fn, items) -> list:
 # -- the transforms -----------------------------------------------------------
 # Every FFT in the package goes through `_to_spectral`, `_real_physical` and
 # `_box_spectral`, on the last three axes of a batched array (nt, 3, N, N, N).
-# An inverse skips the lines a caller knows, or measures (`_sparse`), to be empty.
+# An inverse skips the lines that a scan of its data (`_occupied`, then `_sparse`) finds empty.
 
 def _to_spectral(phys: np.ndarray) -> np.ndarray:
     """Coefficients of real-space sample arrays."""
@@ -141,10 +142,10 @@ def _occupied(c: np.ndarray) -> tuple:
     return tuple(np.any(occ, axis=tuple({0, 1, 2} - {a})) for a in range(3))
 
 
-def _sparse(half: np.ndarray, n: int) -> tuple:
-    """Index and `_real_physical` rows of the lines of `half` (..., N, N, >= N/2 + 1)
-    holding nonzero k_z >= 0 modes; its k_z >= 0 planes and None past N/2 rows on x or y."""
-    x, y, z = (np.flatnonzero(a) for a in _occupied(half[..., : n // 2 + 1]))
+def _sparse(occupied: tuple, n: int) -> tuple:
+    """Index and `_real_physical` rows of the lines the x, y and k_z >= 0 masks
+    `occupied` mark; the k_z >= 0 planes and None past N/2 rows on x or y."""
+    x, y, z = (np.flatnonzero(a) for a in occupied)
     if 2 * max(len(x), len(y)) > n:
         return (slice(None), slice(None), slice(n // 2 + 1)), None
     nz = z[-1] + 1 if len(z) else 0
@@ -203,8 +204,9 @@ class _Field:
     # -- diagnostics -----------------------------------------------------
     def physical(self) -> np.ndarray:
         """Real-space samples, shape (..., 3, N, N, N), of the real field."""
-        box, rows = _sparse(self.coeffs, self.grid.n_points)
-        return _real_physical(self.coeffs[(Ellipsis,) + box], self.grid.n_points, rows)
+        n = self.grid.n_points
+        box, rows = _sparse(_occupied(self.coeffs[..., : n // 2 + 1]), n)
+        return _real_physical(self.coeffs[(Ellipsis,) + box], n, rows)
 
     def sup_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs)))

@@ -11,13 +11,12 @@ Chemin-Lerner, script and Kato norm.  It never forms a full complex block,
 and three rules keep it exact for the real fields the package holds.  The
 blocks of a real field are real, so `irfftn` of their k_z >= 0 half gives
 the samples.  At p = 2 the rectangle-rule norm of a trigonometric
-polynomial is Parseval's vol * sum |delta_j c|^2, with no transform.  And
-delta_j vanishes exactly outside |n_i| <= K (K read from the multiplier),
-so when 2(2K+1) <= N the inverse skips lines that hold only zeros
-(Sorensen & Burrus 1993): x over the (2K+1)(K+1) occupied y-z lines, y
-over N(K+1), then the real z pass.  A wider shell skips the lines its data
-leaves empty when the rest span at most half the grid on x and on y, and a
-zero block is normed 0.0 untransformed.  Time levels are independent, so the
+polynomial is Parseval's vol * sum |delta_j c|^2, with no transform.  And a
+block vanishes off the lines both its level and its multiplier occupy, so
+one scan of the level's k_z >= 0 half, intersected with each multiplier's
+cached masks, lets a block's inverse skip the other lines (Sorensen & Burrus
+1993) if the rest span at most half the grid on x and on y; a zero block is
+normed 0.0 untransformed.  Time levels are independent, so the
 engine runs one level per task on the pool of `field._map`, shells on one thread.
 """
 
@@ -30,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .field import SpectralField, _map, _power_root, _real_physical, _sparse, lp_norm
+from .field import (SpectralField, _map, _occupied, _power_root, _real_physical, _sparse,
+                    lp_norm)
 from .grid import GridSpec, low_pass_multipliers, shell_index, shell_multipliers
 
 
@@ -74,24 +74,21 @@ def _multipliers(grid: GridSpec, tails: bool):
 
 
 @functools.lru_cache(maxsize=8)
-def _block_plans(grid: GridSpec) -> tuple:
-    """Per multiplier of `_multipliers(grid, True)`, `field._sparse` of the modes
-    it can occupy (rows None when too wide to prune); index data only, so
-    clearing the grid caches frees every multiplier."""
-    return tuple(_sparse(m, grid.n_points) for m in _multipliers(grid, True))
+def _multiplier_masks(grid: GridSpec) -> tuple:
+    """`field._occupied` of the k_z >= 0 half of each of `_multipliers(grid, True)`;
+    masks only, so clearing the grid caches frees every multiplier."""
+    return tuple(_occupied(m[..., : grid.n_points // 2 + 1]) for m in _multipliers(grid, True))
 
 
 def _block_halves(c: np.ndarray, grid: GridSpec, tails: bool = False):
     """Per block Delta_j u of the real field with coefficients c (3, N, N, N), with
     `tails` S_{j_min} u first and (Id - S_{j_max+1}) u last, its gathered k_z >= 0
-    coefficients and `_real_physical` rows, a wide shell's on the lines it occupies."""
-    plans = _block_plans(grid)
-    for m, (box, rows) in zip(_multipliers(grid, tails), plans if tails else plans[1:-1]):
-        half = c[(Ellipsis,) + box] * m[box]
-        if rows is None:
-            box, rows = _sparse(half, grid.n_points)
-            half = half[(Ellipsis,) + box]
-        yield half, rows
+    coefficients and `_real_physical` rows (module docstring), from one scan of c."""
+    n = grid.n_points
+    level, masks = _occupied(c[..., : n // 2 + 1]), _multiplier_masks(grid)
+    for m, occ in zip(_multipliers(grid, tails), masks if tails else masks[1:-1]):
+        box, rows = _sparse(tuple(a & b for a, b in zip(level, occ)), n)
+        yield c[(Ellipsis,) + box] * m[box], rows
 
 
 def _blocks(c: np.ndarray, grid: GridSpec, tails: bool = False):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from bnslab import littlewood_paley
+from bnslab import field, littlewood_paley
 from bnslab.field import (SpectralField, Trajectory, hermitian_symmetrize, lp_norm,
                           random_band_limited, scaling_transform, set_threads, shell_bump,
                           single_mode, zero_field)
@@ -272,10 +272,15 @@ def test_pruned_inverses_same_bytes_as_plain_irfftn(sparse_cases, threads):
     # byte of the plain irfftn path in the block norms, and in the block
     # samples (tails included) and physical samples up to the sign of an
     # exact zero (a skipped line of -0.0 inputs comes out +0.0); the bump's
-    # shell 3 is pruned to 23 of 64 x rows, and its shell 4 is empty
-    shells = [r for _, r in littlewood_paley._block_halves(
-        sparse_cases["zero_shells"].coeffs, GridSpec(64))]
-    assert [len(r[0]) for r in shells[:4]] == [7, 15, 31, 23] and shells[4][2] == 0
+    # shells 2 and 3 are pruned to its 23 of 64 x rows, and its shell 4 is
+    # zero; the six-mode field's shell 1 to its 3 x 3 lines and 5 planes
+    shells = list(littlewood_paley._block_halves(sparse_cases["zero_shells"].coeffs,
+                                                 GridSpec(64)))
+    assert [len(r[0]) for _, r in shells[:4]] == [7, 15, 23, 23]
+    assert not np.any(shells[4][0])
+    _, (xs, ys, nz) = list(littlewood_paley._block_halves(sparse_cases["six_mode"].coeffs,
+                                                          GridSpec(64)))[1]
+    assert (len(xs), len(ys), nz) == (3, 3, 5)
     set_threads(threads)
     try:
         for name, u in sparse_cases.items():
@@ -305,17 +310,25 @@ def test_pruned_inverses_same_bytes_as_plain_irfftn(sparse_cases, threads):
 def test_zero_shells_make_no_inverse_transform(threads, monkeypatch):
     # the heat flow keeps a j <= 2 datum's modes |n| <= 8, so the wide shells
     # 3 and 4 of a 64^3 grid are exactly zero and are normed 0.0 untransformed;
-    # shells 0-2 keep their pruned passes over 7, 15 and 31 x rows
+    # shells 0-2 keep their pruned passes over 7, 15 and 17 x rows; each
+    # level's data is scanned once for all its shells
     grid = GridSpec(64)
     u = random_band_limited(grid, j_lo=0, j_hi=2, seed=55, amplitude=0.05)
     traj = heat_trajectory(u, np.linspace(0.0, 0.25, 17))
-    calls = []
-    inverse = littlewood_paley._real_physical
+    block_lp_norms(traj.snapshot(0), 3.0)  # warms the multipliers' caches
+    calls, scans = [], []
+    inverse, occupied = littlewood_paley._real_physical, field._occupied
 
     def counted(half, n, rows=None):
         calls.append(rows)
         return inverse(half, n, rows)
+
+    def scanned(c):
+        scans.append(c.shape)
+        return occupied(c)
     monkeypatch.setattr(littlewood_paley, "_real_physical", counted)
+    monkeypatch.setattr(field, "_occupied", scanned)
+    monkeypatch.setattr(littlewood_paley, "_occupied", scanned, raising=False)
     set_threads(threads)
     try:
         norms = block_lp_norms(traj, 3.0)
@@ -323,4 +336,5 @@ def test_zero_shells_make_no_inverse_transform(threads, monkeypatch):
         set_threads(0)
     assert np.all(norms[:, :3] > 0.0) and np.all(norms[:, 3:] == 0.0)
     assert len(calls) == 17 * 3
-    assert sorted(len(rows[0]) for rows in calls) == [7] * 17 + [15] * 17 + [31] * 17
+    assert sorted(len(rows[0]) for rows in calls) == [7] * 17 + [15] * 17 + [17] * 17
+    assert len(scans) == 17

@@ -3,12 +3,13 @@ and every block norm through `littlewood_paley.block_lp_norms`.
 
 Oracles: a recording wrapper around scipy.fft shows that the package
 thread setting reaches every transform path; tasks that meet at a
-barrier show which threads the level pool runs; a scan of the package
-source shows that no module other than `field` makes a transform or
-holds a worker count, that no module other than `grid` and
-`littlewood_paley` touches the shell multipliers, that fields and
-trajectories share one arithmetic with no operator applied per snapshot,
-and that solenoidality and dealiasing are not switches.
+barrier show which threads the level pool runs; a patched CPU affinity
+shows what "all cores" means; a scan of the package source shows that no
+module other than `field` makes a transform or holds a worker count, that
+no module other than `grid` and `littlewood_paley` touches the shell
+multipliers, that fields and trajectories share one arithmetic with no
+operator applied per snapshot, and that solenoidality and dealiasing are
+not switches.
 """
 import ast
 import math
@@ -25,6 +26,7 @@ import scipy.fft
 
 from bnslab.field import _map, _workers, random_band_limited, set_threads
 from bnslab.grid import GridSpec
+from bnslab.littlewood_paley import block_lp_norms
 from bnslab.profiles import _align_core, extract_profiles
 from bnslab.solver import SolverConfig, bilinear_B, heat_trajectory, nonlinear_term, solve
 from bnslab.spacetime import block_norm_matrix
@@ -211,6 +213,48 @@ def test_level_pool_survives_fork():
             os.waitpid(pid, 0)
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0, done
     finally:
+        set_threads(0)
+
+
+def test_all_cores_are_the_affinity(monkeypatch):
+    """set_threads(0) caps every transform at the cores of the process's CPU
+    affinity, and on one core the block-norm engine starts no thread."""
+    workers = []
+    for name in TRANSFORMS:
+        def recording(*args, _fn=getattr(scipy.fft, name), **kwargs):
+            workers.append(kwargs.get("workers"))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    grid = GridSpec(32)
+    u = random_band_limited(grid, j_lo=0, j_hi=2, seed=5)
+    traj = heat_trajectory(u, np.linspace(0.0, 0.02, 4))
+    try:
+        set_threads(0)
+        started = threading.active_count()
+        u.physical()
+        block_lp_norms(traj, 3.0)
+        assert threading.active_count() == started
+    finally:
+        monkeypatch.undo()
+        set_threads(0)
+    assert workers and set(workers) == {1}, workers
+
+
+def test_all_cores_without_an_affinity_call(monkeypatch):
+    """Where the platform has no affinity call, all cores are os.cpu_count()."""
+    grid = GridSpec(32)
+    traj = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=5),
+                           np.linspace(0.0, 0.02, 2))
+    try:
+        set_threads(1)
+        serial = block_lp_norms(traj, 3.0)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_threads(0)
+        assert block_lp_norms(traj, 3.0).tobytes() == serial.tobytes()
+    finally:
+        monkeypatch.undo()
         set_threads(0)
 
 
