@@ -6,7 +6,8 @@ Usage: python3 scripts/output_digest.py
 Each line is `<threads> <output> <sha256>`.  The outputs are:
 
 * every file that `bnslab norms`, `solve` (with `write_trajectory`),
-  `iterate`, `expand` (staged), `profiles` (with `extract = true`) and
+  `iterate`, `expand` (staged), `profiles` (with `extract = true`, and
+  under the name `profiles-evolve` with `evolve = true`) and
   `verify-estimates` write on small 32^3 configs;
 * the raw bytes of the 64^3, 17-level `block_norm_matrix` at p = 2, 3, 5;
 * the six fields of the criterion-12 sequence (64^3), made by `synthesize`
@@ -72,13 +73,33 @@ sep_sweep = 3 5 7 9
 extract = true
 threshold = 0.01
 """
-COMMANDS = {  # command: (config, seed)
-    "norms": (FIELD + "[norms]\nn_steps = 8\n", 4),
-    "solve": (FIELD + "[output]\nwrite_trajectory = true\n", 4),
-    "iterate": (FIELD + "[iterate]\nj_steps = 3\n", 4),
-    "expand": (FIELD + "[expand]\nmode = staged\nk = 2\n", 4),
-    "profiles": (PROFILES, 21),
-    "verify-estimates": ("[grid]\nn_points = 32\n[verify]\nn_fields = 2\n", 3),
+EVOLVE = """[grid]
+n_points = 32
+[profile1]
+j_lo = 0
+j_hi = 0
+amplitude = 0.3
+[profile2]
+j_lo = 0
+j_hi = 0
+amplitude = 0.15
+[solver]
+dt = 0.01
+n_steps = 4
+[profiles]
+m_sweep = -1 -1 -2 -2
+sep_sweep = 3 5 7 9
+evolve = true
+"""
+COMMANDS = {  # digest name: (command, config, seed)
+    "norms": ("norms", FIELD + "[norms]\nn_steps = 8\n", 4),
+    "solve": ("solve", FIELD + "[output]\nwrite_trajectory = true\n", 4),
+    "iterate": ("iterate", FIELD + "[iterate]\nj_steps = 3\n", 4),
+    "expand": ("expand", FIELD + "[expand]\nmode = staged\nk = 2\n", 4),
+    "profiles": ("profiles", PROFILES, 21),
+    "verify-estimates": ("verify-estimates",
+                         "[grid]\nn_points = 32\n[verify]\nn_fields = 2\n", 3),
+    "profiles-evolve": ("profiles", EVOLVE, 21),
 }
 
 
@@ -89,16 +110,16 @@ def _sha(data: bytes) -> str:
 def command_digests(root: Path, threads: int) -> dict:
     """Run every command in COMMANDS and hash each file it writes."""
     out = {}
-    for command, (config, seed) in COMMANDS.items():
-        run_dir = root / f"threads{threads}" / command
+    for name, (command, config, seed) in COMMANDS.items():
+        run_dir = root / f"threads{threads}" / name
         run_dir.mkdir(parents=True)
         (run_dir / "config.ini").write_text(config)
         code = bnslab([command, "--config", str(run_dir / "config.ini"), "--seed",
                        str(seed), "--threads", str(threads), "--out", str(run_dir / "out")])
-        out[f"{command}/exit"] = _sha(str(code).encode())
+        out[f"{name}/exit"] = _sha(str(code).encode())
         for path in sorted((run_dir / "out").rglob("*")):
             if path.is_file():
-                out[f"{command}/{path.relative_to(run_dir / 'out')}"] = _sha(path.read_bytes())
+                out[f"{name}/{path.relative_to(run_dir / 'out')}"] = _sha(path.read_bytes())
     return out
 
 

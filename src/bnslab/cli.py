@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GridError, InversionError, ResolutionError
-from .field import (SpectralField, random_band_limited, set_threads,
+from .field import (SpectralField, dyadic_shift, random_band_limited, set_threads,
                     shell_bump, taylor_green_like)
 from .grid import GridSpec
 from .littlewood_paley import besov_norm, critical_index
@@ -31,7 +31,7 @@ from .profiles import (ProfileSet, ScaleCore, evolve_decomposition,
                        extract_profiles, max_cross_term, pythagorean_gap,
                        scale_op, synthesize)
 from .snapshots import read_field, write_field, write_manifest, write_trajectory
-from .solver import SolverConfig, heat_trajectory, bilinear_B, picard_solve, solve
+from .solver import SolverConfig, heat_trajectory, picard_solve, solve
 from .spacetime import (chemin_lerner_norm, embedding_chain_check,
                         kato_interpolation_constant, kato_norm,
                         lebesgue_besov_norm, script_norm)
@@ -59,15 +59,11 @@ def main(argv=None) -> int:
             return 2
     set_threads(threads)
 
-    try:
-        config_text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     cfg = configparser.ConfigParser()
     try:
+        config_text = Path(args.config).read_text()
         cfg.read_string(config_text)
-    except configparser.Error as exc:
+    except (OSError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -184,6 +180,14 @@ def _exponent(cfg, section: str, key: str, fallback: float, lo: float = 1.0) -> 
     return p
 
 
+def _integers(cfg, key: str, fallback: str) -> list[int]:
+    text = cfg.get("profiles", key, fallback=fallback)
+    try:
+        return [int(v) for v in text.split()]
+    except ValueError:
+        raise ConfigError(f"[profiles] {key} must be integers, got {text!r}") from None
+
+
 def _write_report(out_dir: Path, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(text + "\n")
@@ -288,9 +292,7 @@ def _cmd_iterate(cfg, seed, out_dir) -> dict:
     traj, _, converged = solve(u0, scfg)
     if not converged:
         return {"_numerical_failure": True, "classification": "picard_diverged"}
-    v0 = heat_trajectory(u0, traj.times)
-    w0 = bilinear_B(traj, traj)
-    records = simple_iteration(u0, v0, w0, j_steps)
+    records = simple_iteration(traj, u0, j_steps)
     rows = ["j,defect,v_sup_l3,w_l3"]
     rows += [f"{r['j']},{r['defect']},{r['v_sup_l3']},{r['w_l3']}" for r in records]
     _write_report(out_dir, "\n".join(rows))
@@ -301,27 +303,28 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     phi1 = _field(cfg, grid, seed, section="profile1")
     phi2 = _field(cfg, grid, seed + 1, section="profile2")
-    ms = [int(v) for v in cfg.get("profiles", "m_sweep", fallback="-1 -2 -3").split()]
-    seps = [int(v) for v in cfg.get("profiles", "sep_sweep",
-                                    fallback=" ".join("0" for _ in ms)).split()]
+    ms = _integers(cfg, "m_sweep", "-1 -2 -3")
+    seps = _integers(cfg, "sep_sweep", " ".join("0" for _ in ms))
     if len(seps) != len(ms):
         raise ConfigError("m_sweep and sep_sweep must have equal length")
     p = _exponent(cfg, "profiles", "p", 3.0, lo=2.0)  # the cross terms need 1 <= r < p
+    for m in ms:  # profile2 at scale 2^m is a strict dyadic shift by -m
+        try:
+            dyadic_shift(phi2, -m)
+        except (ResolutionError, OverflowError) as exc:
+            raise ConfigError(f"[profiles] m_sweep entry {m} leaves the grid: {exc}") from None
     idx = critical_index(p, p)
     scheds2 = tuple(ScaleCore(m, (s, s, s)) for m, s in zip(ms, seps))
-    ps = ProfileSet(profiles=(phi1, phi2),
-                    schedules=(tuple(ScaleCore(0) for _ in ms), scheds2),
-                    remainders=None, complete=True)
-    evolve = cfg.getboolean("profiles", "evolve", fallback=False)
+    ps = ProfileSet(profiles=(phi1, phi2), schedules=((ScaleCore(0),) * len(ms), scheds2),
+                    remainders=None)
+    r_norms = [""] * len(ms)
+    if cfg.getboolean("profiles", "evolve", fallback=False):
+        r_norms = [rec["r_norm"] for rec in evolve_decomposition(ps, _solver_config(cfg), p)]
     rows = ["n,J,epsilon,cross_term_max,r_norm"]
-    for n in range(len(ms)):
-        eps = pythagorean_gap(ps, n, idx, 2)
+    for n, r_norm in enumerate(r_norms):
+        eps = pythagorean_gap(ps, n, idx)
         cross = max_cross_term(phi1, scale_op(scheds2[n], phi2, p=p), int(p)) \
             if float(p).is_integer() else float("nan")
-        r_norm = ""
-        if evolve:
-            rep = evolve_decomposition(ps, _solver_config(cfg), n, 2, p=p)
-            r_norm = rep["r_norm"]
         rows.append(f"{n},2,{eps},{cross},{r_norm}")
     _write_report(out_dir, "\n".join(rows))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -89,11 +89,9 @@ def duhamel_expand(u: Trajectory, u0: SpectralField, N: int,
             tail = 2.0 * bilinear_B(u_lin, q) + bilinear_B(q, q)
         else:
             terms.append(2.0 * bilinear_B(u_lin, b_ll))
-            tail = (
-                4.0 * bilinear_B(u_lin, bilinear_B(u_lin, q))
-                + 2.0 * bilinear_B(u_lin, bilinear_B(q, q))
-                + bilinear_B(q, q)
-            )
+            b_qq = bilinear_B(q, q)
+            tail = (4.0 * bilinear_B(u_lin, bilinear_B(u_lin, q))
+                    + 2.0 * bilinear_B(u_lin, b_qq) + b_qq)
     ref = script_norm(u, 1.0, math.inf, p)
     residual = _rel_script(u - sum(terms[1:], terms[0]) - tail, ref, p)
     term_norms = [script_norm(t, 1.0, math.inf, p) for t in terms]
@@ -252,22 +250,19 @@ def expand_solution(u0: SpectralField, k: int, cfg: SolverConfig) -> ExpansionRe
 
 # -- simple iteration ---------------------------------------------------------
 
-def simple_iteration(u0: SpectralField, v0: Trajectory, w0: Trajectory,
-                     j_steps: int) -> list[dict]:
-    """Iterate v <- e^{tL}u0 + B(v,v) + 2B_sigma(v,w), w <- B(w,w).
+def simple_iteration(u: Trajectory, u0: SpectralField, j_steps: int) -> list[dict]:
+    """Iterate v <- e^{tL}u0 + B(v,v) + 2B_sigma(v,w), w <- B(w,w) from
+    v0 = e^{tL}u0 on u's times and w0 = B(u,u), for the solution u from u0.
 
-    Each step preserves u = v + w up to the accumulated solver defect.
-    Returns per-step records with the decomposition defect and the
-    monitored norms (sup-in-time L^p of v, space-time L^3 of w).
-    """
-    u_lin = heat_trajectory(u0, v0.times)
-    u_ref = v0 + w0
-    v, w = v0, w0
+    Each step preserves u = v + w up to the accumulated solver defect, and its
+    record holds the decomposition defect and the monitored norms (sup-in-time
+    L^p of v, space-time L^3 of w)."""
+    u_lin = heat_trajectory(u0, u.times)
+    v, w = u_lin, bilinear_B(u, u)
+    u_ref = v + w
     records = []
     for j in range(1, j_steps + 1):
-        v_next = u_lin + bilinear_B(v, v) + 2.0 * bilinear_B(v, w)
-        w_next = bilinear_B(w, w)
-        v, w = v_next, w_next
+        v, w = u_lin + bilinear_B(v, v) + 2.0 * bilinear_B(v, w), bilinear_B(w, w)
         defect = script_norm(u_ref - v - w, 1.0, math.inf, 3.0)
         sup_lp = float(np.max(_spatial_lp(v, 3.0)))
         w_l3 = float(_time_norms(_spatial_lp(w, 3.0), w.times, 3.0)[-1])

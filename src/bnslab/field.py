@@ -254,7 +254,7 @@ class SpectralField(_Field):
         return math.sqrt(vol * float(np.sum(np.abs(self.coeffs) ** 2)))
 
     def lp(self, p: float) -> float:
-        return lp_norm(_real_physical(self.coeffs, self.grid.n_points), self.grid, p)
+        return lp_norm(self.physical(), self.grid, p)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ engine runs one level per task on the pool of `field._map`, shells on one thread
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -170,8 +171,9 @@ def bernstein_ratio(u: SpectralField, j: int, p: float, q: float) -> float:
     """
     if q < p:
         raise ValueError("bernstein_ratio expects q >= p")
-    delta = shell_multipliers(u.grid)[shell_index(u.grid, j)]
-    block = _real_physical(u.coeffs * delta, u.grid.n_points)
+    blocks = _block_halves(u.coeffs, u.grid)  # transformed: block j only
+    half, rows = next(itertools.islice(blocks, shell_index(u.grid, j), None))
+    block = _real_physical(half, u.grid.n_points, rows)
     denom = lp_norm(block, u.grid, p)
     if denom == 0.0:
         return 0.0

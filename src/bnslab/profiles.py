@@ -1,5 +1,6 @@
-"""Profile decompositions: dyadic scale/core operators, synthesis,
-a constructive extractor, and orthogonality diagnostics.
+"""Profile decompositions: dyadic scale/core operators, synthesis, a constructive
+extractor, orthogonality diagnostics, and the evolved decomposition of a whole
+set in one call, one record per index, each profile solved once per scale.
 
 Scales are dyadic and cores grid-aligned, so every operator is exact in
 coefficient space.  On the torus the continuum scaling operator splits
@@ -168,16 +169,15 @@ def _synthesis(ps: ProfileSet, n: int, J: int | None, p: float,
 
 # -- diagnostics -------------------------------------------------------------
 
-def pythagorean_gap(ps: ProfileSet, n: int, idx: BesovIndex,
-                    J: int | None = None) -> float:
-    """epsilon(n, J) = | ||f_n||^p - sum_j ||Lambda_{j,n} phi_j||^p - ||psi_n||^p |.
+def pythagorean_gap(ps: ProfileSet, n: int, idx: BesovIndex) -> float:
+    """epsilon(n) = | ||f_n||^p - sum_j ||Lambda_{j,n} phi_j||^p - ||psi_n||^p |.
 
     Each summand norm is evaluated on the grid where it actually lives
     (after scaling); the scaling operator is an exact isometry in the
     continuum, so this agrees with the textbook statement there while
     keeping quadrature drift out of the orthogonality diagnostic.
     """
-    f_n, terms = _synthesis(ps, n, J, idx.p)
+    f_n, terms = _synthesis(ps, n, None, idx.p)
     total = besov_norm(f_n, idx) ** idx.p
     for term in terms:
         total -= besov_norm(term, idx) ** idx.p
@@ -367,34 +367,39 @@ def _unscale(sc: ScaleCore, u: SpectralField, p: float) -> SpectralField:
 
 # -- evolved decomposition -----------------------------------------------------
 
-def evolve_decomposition(ps: ProfileSet, cfg: SolverConfig, n: int,
-                         J: int | None = None, q: float = 5.0,
-                         p: float = 3.0) -> dict:
-    """Solve from the synthesized datum and compare with the superposition
-    of individually evolved profiles.
+_EVOLVE_Q = 5.0  # the time exponent of the script norms in an evolved record
 
-    u_n = NS(f_n) with f_n synthesized in the NS normalization; each
-    profile evolves on its own dilated time grid (exact solver
-    equivariance), and the remainder rides the heat flow.  Reports
-    ||r_n|| = ||u_n - sum Lambda U_j - w_n|| in the script 2:inf family.
-    """
-    J = ps.n_profiles() if J is None else J
-    f_n = synthesize(ps, n, J, p=p, normalization="ns")
-    u_n, _, converged = solve(f_n, cfg, p)
+
+def evolve_decomposition(ps: ProfileSet, cfg: SolverConfig, p: float = 3.0) -> list[dict]:
+    """Per index n of the set, in order, the script 2:inf norms of u_n = NS(f_n),
+    f_n synthesized in the NS normalization, and of r_n = u_n - sum Lambda U_j - w_n:
+    each profile evolves once per scale m_{j,n} on its own dilated time grid (exact
+    solver equivariance) and is held until the last index that uses it, and the
+    remainder w_n rides the heat flow."""
+    last = {(j, sc.m): n for j, sched in enumerate(ps.schedules) for n, sc in enumerate(sched)}
+    records, held = [], {}
+    for n in range(len(ps.schedules[0]) if ps.schedules else len(ps.remainders or ())):
+        records.append(_evolve_index(ps, cfg, n, p, held))
+        held = {key: out for key, out in held.items() if last[key] > n}
+    return records
+
+
+def _evolve_index(ps: ProfileSet, cfg: SolverConfig, n: int, p: float, held: dict) -> dict:
+    """Index n's record; `held` maps (j, m) to phi_j's sub-solve at scale m,
+    which nothing may write into (`scale_op` returns it at m = 0, core 0)."""
+    u_n, _, converged = solve(synthesize(ps, n, p=p, normalization="ns"), cfg, p)
     if not converged:
         return {"diverged": True, "r_norm": math.inf, "n": n}
     total = None
-    for j in range(min(J, ps.n_profiles())):
+    for j in range(ps.n_profiles()):
         sc = ps.schedules[j][n]
-        sub_cfg = replace(cfg, dt=cfg.dt / sc.lam**2)
-        U_j, _, converged = solve(ps.profiles[j], sub_cfg, p)
+        if (j, sc.m) not in held:
+            held[j, sc.m] = solve(ps.profiles[j], replace(cfg, dt=cfg.dt / sc.lam**2), p)
+        U_j, _, converged = held[j, sc.m]
         if not converged:
-            return {"diverged": True, "r_norm": math.inf, "n": n,
-                    "which": j}
-        # Lambda U_j(t/lambda^2) on the dilated time grid.  Modes leaving
-        # the representable band are dropped: the evolved coarse solution
-        # carries harmonics that the fine-grid dynamics dealiases, so
-        # nothing meaningful is lost.
+            return {"diverged": True, "r_norm": math.inf, "n": n, "which": j}
+        # Lambda U_j(t/lambda^2) on the dilated time grid, dropping the modes that leave
+        # the band: harmonics of the coarse solution that the fine grid dealiases
         total_j = replace(scale_op(sc, U_j, p, "ns", strict=False),
                           times=U_j.times * sc.lam**2)
         total = total_j if total is None else total + total_j
@@ -402,6 +407,6 @@ def evolve_decomposition(ps: ProfileSet, cfg: SolverConfig, n: int,
     if rem is not None:
         w = heat_trajectory(rem, u_n.times)
         total = w if total is None else total + w
-    r_norm = script_norm(u_n - total, 2.0, math.inf, q)
+    r_norm = script_norm(u_n - total, 2.0, math.inf, _EVOLVE_Q)
     return {"diverged": False, "n": n, "r_norm": r_norm,
-            "u_norm": script_norm(u_n, 2.0, math.inf, q)}
+            "u_norm": script_norm(u_n, 2.0, math.inf, _EVOLVE_Q)}

@@ -44,7 +44,7 @@ def block_norm_matrix(traj: Trajectory, p: float) -> np.ndarray:
 
 
 def _spatial_lp(traj: Trajectory, p: float) -> np.ndarray:
-    """||u(t_i)||_{L^p} for each time level, one real transform per level."""
+    """||u(t_i)||_{L^p} for each time level, from each level's `physical()` samples."""
     return np.array([SpectralField(traj.grid, c).lp(p) for c in traj.coeffs])
 
 

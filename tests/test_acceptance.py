@@ -211,12 +211,10 @@ def test_criterion_11_evolved_decomposition_remainder_decreases(grid64):
         schedules=[[ScaleCore(0, (0, 0, 0))] * 4, scheds2],
         remainders=[None] * 4,
     )
-    cfg = SolverConfig(dt=0.005, n_steps=8)
-    rs = []
-    for n in range(4):
-        out = evolve_decomposition(ps, cfg, n, 2, q=5.0, p=3.0)
-        assert not out["diverged"]
-        rs.append(out["r_norm"])
+    records = evolve_decomposition(ps, SolverConfig(dt=0.005, n_steps=8), p=3.0)
+    assert [out["n"] for out in records] == [0, 1, 2, 3]
+    assert not any(out["diverged"] for out in records)
+    rs = [out["r_norm"] for out in records]
     assert all(b < a for a, b in zip(rs, rs[1:]))
 
 

@@ -16,9 +16,9 @@ from bnslab.cli import main
 from bnslab.field import SpectralField, random_band_limited, set_threads
 from bnslab.grid import GridSpec
 from bnslab.littlewood_paley import besov_norm, critical_index
-from bnslab.profiles import ProfileSet, ScaleCore, pythagorean_gap
+from bnslab.profiles import ProfileSet, ScaleCore, evolve_decomposition, pythagorean_gap
 from bnslab.snapshots import write_field
-from bnslab.solver import heat_trajectory
+from bnslab.solver import SolverConfig, heat_trajectory
 from bnslab.spacetime import (chemin_lerner_norm, kato_norm, lebesgue_besov_norm,
                               script_norm)
 
@@ -338,7 +338,43 @@ def test_profiles_command(tmp_path):
     ps = ProfileSet((phi1, phi2), ([ScaleCore(0)] * 4, scheds2), remainders=None)
     idx = critical_index(3.0, 3.0)
     for n, row in enumerate(rows[1:]):
-        assert float(row.split(",")[2]) == pythagorean_gap(ps, n, idx, 2)
+        assert float(row.split(",")[2]) == pythagorean_gap(ps, n, idx)
+
+
+EVOLVE = """[grid]
+n_points = 32
+[profile1]
+j_lo = 0
+j_hi = 0
+amplitude = 0.3
+[profile2]
+j_lo = 0
+j_hi = 0
+amplitude = 0.15
+[solver]
+dt = 0.01
+n_steps = 4
+[profiles]
+m_sweep = -1 -1 -2 -2
+sep_sweep = 3 5 7 9
+evolve = true
+"""
+
+
+def test_profiles_command_evolves_the_set(tmp_path):
+    # the r_norm column is the evolved decomposition of the command's set,
+    # one record per row
+    code, out = run(tmp_path, "profiles", EVOLVE, "--seed", "21")
+    assert code == 0
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    grid = GridSpec(32)
+    phi1 = random_band_limited(grid, j_lo=0, j_hi=0, seed=21, amplitude=0.3)
+    phi2 = random_band_limited(grid, j_lo=0, j_hi=0, seed=22, amplitude=0.15)
+    scheds2 = [ScaleCore(m, (s, s, s)) for m, s in zip((-1, -1, -2, -2), (3, 5, 7, 9))]
+    ps = ProfileSet((phi1, phi2), ([ScaleCore(0)] * 4, scheds2), remainders=None)
+    records = evolve_decomposition(ps, SolverConfig(dt=0.01, n_steps=4))
+    assert [row.split(",")[4] for row in rows] == [str(rec["r_norm"]) for rec in records]
+    assert not any(rec["diverged"] for rec in records)
 
 
 @pytest.mark.parametrize("command, body, key, first", [
@@ -348,7 +384,18 @@ def test_profiles_command(tmp_path):
     ("expand", SOLVE + "[expand]\nmode = staged\nk = -1\n", "[expand] k",
      "expand_solution"),
     ("profiles", PROFILES + "p = 1\n", "[profiles] p", "pythagorean_gap"),
-], ids=["iterate_j_steps_0", "iterate_j_steps_neg", "norms_q", "expand_k", "profiles_p"])
+    # profile2 (six modes at |n| = 2) leaves the 32^3 grid at m = -3 (Nyquist)
+    # and at m = 2 (off the coarse lattice)
+    ("profiles", PROFILES.replace("-2 -2", "-2 -3"), "[profiles] m_sweep entry -3",
+     "pythagorean_gap"),
+    ("profiles", PROFILES.replace("-2 -2", "-2 2"), "[profiles] m_sweep entry 2",
+     "pythagorean_gap"),
+    ("profiles", PROFILES.replace("-2 -2", "-2 -2.5"), "[profiles] m_sweep",
+     "pythagorean_gap"),
+    ("profiles", PROFILES.replace("7 9", "7 x"), "[profiles] sep_sweep", "pythagorean_gap"),
+], ids=["iterate_j_steps_0", "iterate_j_steps_neg", "norms_q", "expand_k", "profiles_p",
+        "profiles_m_sweep_nyquist", "profiles_m_sweep_lattice", "profiles_m_sweep_int",
+        "profiles_sep_sweep_int"])
 def test_exit_2_on_bad_setting_before_numerics(tmp_path, monkeypatch, capsys, command,
                                                body, key, first):
     # a value the numerics would reject late, or not at all, is a config

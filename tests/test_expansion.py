@@ -72,6 +72,22 @@ def test_duhamel_expand_amplitude_slope(grid):
     assert abs(slopes[3] - 3.0) < 0.05
 
 
+def test_duhamel_expand_makes_the_order_4_tail_once(base_solution, monkeypatch):
+    # B(q, q) enters the N = 4 tail twice but is made once: 7 applications
+    # of B (8 when it was made twice), and the tail's bytes are the sum of
+    # the written-out terms
+    u0, traj, _ = base_solution
+    calls = []
+    monkeypatch.setattr(expansion, "bilinear_B", lambda u, v: calls.append(1) or bilinear_B(u, v))
+    tail = duhamel_expand(traj, u0, 4).tail
+    assert len(calls) == 7
+    u_lin, q = heat_trajectory(u0, traj.times), bilinear_B(traj, traj)
+    expected = (4.0 * bilinear_B(u_lin, bilinear_B(u_lin, q))
+                + 2.0 * bilinear_B(u_lin, bilinear_B(q, q))
+                + bilinear_B(q, q))
+    assert tail.coeffs.tobytes() == expected.coeffs.tobytes()
+
+
 def test_duhamel_expand_guards(base_solution):
     u0, traj, _ = base_solution
     with pytest.raises(ValueError):
@@ -304,9 +320,7 @@ def test_simple_iteration_preserves_decomposition(grid):
     cfg = SolverConfig(dt=0.01, n_steps=10)
     u, rep = picard_solve(u0, cfg)
     assert rep.classification != "picard_diverged"
-    v0 = heat_trajectory(u0, u.times)
-    w0 = bilinear_B(u, u)
-    records = simple_iteration(u0, v0, w0, 4)
+    records = simple_iteration(u, u0, 4)
     scale = script_norm(u, 1.0, math.inf, 3.0)
     # v + w stays glued to v0 + w0 while w collapses quadratically
     assert records[-1]["defect"] < 1e-6 * scale

@@ -33,7 +33,7 @@ from bnslab.paraproduct import (bony_reconstruction_defect,
                                 product_estimate_check)
 from bnslab.profiles import (ProfileSet, ScaleCore, evolve_decomposition,
                              extract_profiles, synthesize)
-from bnslab.solver import SolverConfig, bilinear_B, heat_trajectory, picard_solve, solve
+from bnslab.solver import SolverConfig, heat_trajectory, picard_solve, solve
 from bnslab.spacetime import (Trajectory, chemin_lerner_norm,
                               embedding_chain_check, kato_interpolation_constant,
                               kato_norm, lebesgue_besov_norm, script_norm)
@@ -144,8 +144,7 @@ def case_evolve(grid):
         schedules=[[ScaleCore(0, (0, 0, 0))], [ScaleCore(1, (5, 9, 3))]],
         remainders=[rem],
     )
-    out = evolve_decomposition(ps, SolverConfig(dt=0.01, n_steps=4), 0, 2,
-                               q=5.0, p=3.0)
+    out = evolve_decomposition(ps, SolverConfig(dt=0.01, n_steps=4), p=3.0)[0]
     return {
         "exact": {"diverged": out["diverged"], "n": out["n"]},
         "rel": {"r_norm": out["r_norm"], "u_norm": out["u_norm"]},
@@ -170,8 +169,7 @@ def case_spacetime_norms(grid):
     chain = embedding_chain_check(traj, 1.0, 5.0, math.inf, critical_index(3, 5))
     u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=75, amplitude=0.05)
     sol, _ = picard_solve(u0, cfg)
-    step = simple_iteration(u0, heat_trajectory(u0, sol.times),
-                            bilinear_B(sol, sol), 1)[0]
+    step = simple_iteration(sol, u0, 1)[0]
     rel.update({f"chain_{k}": v for k, v in chain.items() if k != "ok"})
     rel["kato_interpolation"] = kato_interpolation_constant(traj, 6.0)
     rel["v_sup_l3"] = step["v_sup_l3"]

@@ -133,6 +133,22 @@ def test_bernstein_ratio_transforms_one_block_once(grid, monkeypatch):
     assert len(calls) == 1
 
 
+def test_bernstein_ratio_same_bytes_as_the_plain_block(grid):
+    # the block comes from the pruned path of `_block_halves`; its samples
+    # differ from the plain irfftn of the full product at most in the sign
+    # of a zero, which the L^p norms square away
+    for u in (random_band_limited(grid, j_lo=0, j_hi=3, seed=14),
+              random_band_limited(grid, j_lo=1, j_hi=1, seed=21)):  # six modes
+        for j, delta in zip(grid.shells, shell_multipliers(grid)):
+            block = field._real_physical(u.coeffs * delta, grid.n_points)
+            expected = 0.0
+            if lp_norm(block, grid, 2.0) > 0.0:
+                lam = (2.0 * math.pi / grid.period) * 2.0 ** (j + 1)
+                expected = lp_norm(block, grid, 6.0) / (
+                    lam ** (3.0 * (1.0 / 2.0 - 1.0 / 6.0)) * lp_norm(block, grid, 2.0))
+            assert bernstein_ratio(u, j, 2.0, 6.0) == expected, j
+
+
 def test_shell_energies_sum_to_l2(grid):
     u = random_band_limited(grid, j_lo=0, j_hi=grid.j_max, seed=15)
     # overlapping cutoffs: energies are not exactly Pythagorean, but the

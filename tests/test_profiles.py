@@ -6,8 +6,10 @@ operator is an isometry of the critical norm at quadrature-exact
 exponents; cross terms vanish exactly for shell-disjoint pairs; the
 extractor must round-trip planted syntheses and stay silent on noise.
 """
+import gc
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,10 +23,10 @@ from bnslab.field import (dyadic_shift, random_band_limited, scaling_transform,
 from bnslab.grid import TWO_PI, GridSpec, wavevectors
 from bnslab.littlewood_paley import besov_norm, critical_index
 from bnslab.profiles import (ProfileSet, ScaleCore, _align_core, _fit, _unscale, cross_term,
-                             extract_profiles, max_cross_term,
+                             evolve_decomposition, extract_profiles, max_cross_term,
                              orthogonality_gap, pythagorean_gap, scale_op,
                              synthesize, translate)
-from bnslab.solver import heat_trajectory
+from bnslab.solver import SolverConfig, heat_trajectory, solve
 
 
 @pytest.fixture(scope="module")
@@ -321,3 +323,50 @@ def test_extraction_same_bytes_for_any_thread_count(two_profile_seq):
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == 2
     assert [f.coeffs.tobytes() for f in two_profile_seq] == before
+
+
+# -- evolved decomposition ------------------------------------------------------
+
+def test_evolve_solves_each_profile_scale_once(grid64, monkeypatch, block_matrices):
+    # criterion 11's set: phi1 sits at m = 0 at every index and phi2 at m = n,
+    # so the call makes 4 + 1 + 4 solves and 43 block-norm matrices (26 Picard
+    # residuals, 9 scales, two script norms per record); solving phi1 at every
+    # index made 12 solves and 55 matrices
+    solves = []
+    monkeypatch.setattr(profiles, "solve", lambda *args: solves.append(1) or solve(*args))
+    phi1 = random_band_limited(grid64, j_lo=2, j_hi=2, seed=41, amplitude=0.6)
+    phi2 = random_band_limited(grid64, j_lo=2, j_hi=2, seed=42, amplitude=0.3)
+    scheds = [[ScaleCore(0)] * 4, [ScaleCore(n, (5, 9, 3)) for n in range(4)]]
+    ps = ProfileSet([phi1, phi2], scheds, [None] * 4)
+    records = evolve_decomposition(ps, SolverConfig(dt=0.005, n_steps=8))
+    assert [rec["n"] for rec in records] == [0, 1, 2, 3]
+    assert len(solves) == 9
+    assert len(block_matrices) == 43
+
+
+def test_evolve_holds_each_sub_solve_until_its_last_index(grid, monkeypatch):
+    # phi2 returns to m = -1 at n = 2, so its m = -1 solve is held across
+    # n = 1, while its m = 0 solve is gone before u_2 is solved, and no
+    # solve outlives the call; each record equals a one-index set's, byte
+    # for byte
+    phi1 = random_band_limited(grid, j_lo=0, j_hi=0, seed=41, amplitude=0.3)
+    phi2 = random_band_limited(grid, j_lo=0, j_hi=0, seed=42, amplitude=0.15)
+    scheds = [[ScaleCore(0)] * 3, [ScaleCore(m, (5, 9, 3)) for m in (-1, 0, -1)]]
+    cfg = SolverConfig(dt=0.01, n_steps=4)
+    subs, alive = [], []
+
+    def counted(w0, sub_cfg, p):
+        alive.append(sum(ref() is not None for ref in subs))
+        out = solve(w0, sub_cfg, p)
+        if w0 is phi1 or w0 is phi2:
+            subs.append(weakref.ref(out[0]))
+        return out
+    monkeypatch.setattr(profiles, "solve", counted)
+    records = evolve_decomposition(ProfileSet([phi1, phi2], scheds, [None] * 3), cfg)
+    monkeypatch.undo()
+    gc.collect()
+    assert alive == [0, 0, 1, 2, 2, 2]  # u_0, phi1, phi2 at -1; u_1, phi2 at 0; u_2
+    assert all(ref() is None for ref in subs)
+    for n, rec in enumerate(records):
+        one = ProfileSet([phi1, phi2], [sched[n:n + 1] for sched in scheds], [None])
+        assert evolve_decomposition(one, cfg) == [dict(rec, n=0)]
