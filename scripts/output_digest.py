@@ -15,9 +15,12 @@ Each line is `<threads> <output> <sha256>`.  The outputs are:
   schedules and remainders that `extract_profiles` returns on it, and the
   `block_norm_matrix` at p = 3, 6 of the six fields stacked as a 6-level
   trajectory with times 0..5 (sparse lattice data, whose narrow shells the
-  block engine transforms only over the lines they occupy);
+  block engine transforms only over the lines they occupy).  The profiles and
+  remainders are hashed with signed zeros folded by `+ 0.0`: the extractor
+  forms its scaled copies only on the rows they occupy, and a zero it does
+  not multiply keeps the sign it had, but no value changes;
 * the coefficients of one 32^3, 11-level K[v] round trip,
-  `invert_K(apply_L(w))`, with signed zeros folded by `+ 0.0`: K[v] scales
+  `invert_K(apply_L(w))`, with signed zeros folded as above: K[v] scales
   B by 2 on the dealiased box, before its conjugate mirror to the full
   layout, and where B is exactly zero that order can flip the sign of the
   zero but never a value.
@@ -152,7 +155,7 @@ def extraction_digests() -> dict:
     out["extract_profiles/schedules"] = _sha(rec.manifest_rows().encode())
     for name, fields in (("profile", rec.profiles), ("remainder", rec.remainders)):
         for i, f in enumerate(fields):
-            out[f"extract_profiles/{name}{i}"] = _sha(f.coeffs.tobytes())
+            out[f"extract_profiles/{name}{i}"] = _sha((f.coeffs + 0.0).tobytes())
     return out
 
 

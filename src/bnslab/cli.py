@@ -59,7 +59,7 @@ def main(argv=None) -> int:
             return 2
     set_threads(threads)
 
-    cfg = configparser.ConfigParser()
+    cfg = _Config()
     try:
         config_text = Path(args.config).read_text()
         cfg.read_string(config_text)
@@ -88,6 +88,16 @@ def main(argv=None) -> int:
         return 3
     write_manifest(out_dir, args.command, config_text, seed, extra)
     return 0
+
+
+class _Config(configparser.ConfigParser):
+    """INI parser whose typed reads name [section] key when a value does not parse."""
+
+    def _get_conv(self, section, option, conv, **kwargs):
+        try:
+            return super()._get_conv(section, option, conv, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {option}: {exc}") from None
 
 
 def _error_report(out_dir: Path, message: str) -> None:
@@ -311,7 +321,7 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
     for m in ms:  # profile2 at scale 2^m is a strict dyadic shift by -m
         try:
             dyadic_shift(phi2, -m)
-        except (ResolutionError, OverflowError) as exc:
+        except ResolutionError as exc:
             raise ConfigError(f"[profiles] m_sweep entry {m} leaves the grid: {exc}") from None
     idx = critical_index(p, p)
     scheds2 = tuple(ScaleCore(m, (s, s, s)) for m, s in zip(ms, seps))

@@ -505,8 +505,10 @@ def dyadic_shift(u: _Field, m: int, amplitude: float = 1.0,
 
 def _lattice(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(valid, keep, tgt) of a dyadic shift by m on each axis of N modes: which
-    fftn rows it keeps, their indices and the rows they land on (identity at m = 0)."""
-    idx1d = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    fftn rows it keeps, their indices and the rows they land on (identity at m = 0).
+    Every |m| >= b = N.bit_length() keeps row 0 alone, so m is clamped to [-b, b]."""
+    b = n.bit_length()
+    m, idx1d = max(-b, min(m, b)), np.fft.fftfreq(n, 1.0 / n).astype(int)
     # for m > 0 the Nyquist bin +-N/2 is a single shared slot; landing there
     # would collide Hermitian partners, so treat it as out of range
     valid = np.abs(idx1d << m) < n // 2 if m > 0 else idx1d % (1 << (-m)) == 0
@@ -516,7 +518,7 @@ def _lattice(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _lattice_shift(u: _Field, m: int, amplitude: float, strict: bool, phase=None) -> _Field:
     """`dyadic_shift` by m != 0; `phase(rows)`, when given, multiplies the kept
-    modes, rows x rows x rows for the fftn rows kept on each axis, first."""
+    modes first, rows = (keep, keep, keep) the fftn rows kept on each axis."""
     valid, keep, tgt = _lattice(u.grid.n_points, m)
     if strict and not np.all(valid):
         valid3 = valid[:, None, None] & valid[None, :, None] & valid[None, None, :]
@@ -526,7 +528,7 @@ def _lattice_shift(u: _Field, m: int, amplitude: float, strict: bool, phase=None
             )
     kept = u.coeffs[(Ellipsis,) + np.ix_(keep, keep, keep)]
     if phase is not None:
-        kept *= phase(keep)
+        kept *= phase((keep,) * 3)
     out = np.zeros_like(u.coeffs)
     out[(Ellipsis,) + np.ix_(tgt, tgt, tgt)] = amplitude * kept
     return replace(u, coeffs=out)

@@ -2,6 +2,9 @@
 extractor, orthogonality diagnostics, and the evolved decomposition of a whole
 set in one call, one record per index, each profile solved once per scale.
 
+The extractor deflates, restores and unscales only on the rows its fields occupy,
+by the operators' float operations: only the sign of a zero it skips can differ.
+
 Scales are dyadic and cores grid-aligned, so every operator is exact in
 coefficient space.  On the torus the continuum scaling operator splits
 into two variants that coincide on R^3:
@@ -113,16 +116,17 @@ def translate(u: _Field, core: tuple[int, int, int]) -> _Field:
     return replace(u, coeffs=u.coeffs * _phase(u.grid, core))
 
 
-def _phase(grid: GridSpec, core: tuple[int, int, int], rows=slice(None)) -> np.ndarray:
-    """e^{-i k.x_c} at the modes rows x rows x rows, from one 1-D wavenumber
-    row by the float operations of the `wavevectors` form, element for element;
-    np.exp runs in two x-slabs on the level pool (one per row costs more)."""
+def _phase(grid: GridSpec, core: tuple[int, int, int], rows=(slice(None),) * 3) -> np.ndarray:
+    """e^{-i k.x_c} at the modes rows[0] x rows[1] x rows[2] (fftn rows per axis), from
+    one 1-D wavenumber row by the float operations of the `wavevectors` form, element
+    for element; np.exp runs in two x-slabs on the level pool (one per row costs more)."""
     x = np.asarray(core, dtype=float) * (grid.period / grid.n_points)
-    k = wavevectors(grid)[2, 0, 0, rows].astype(float) * (TWO_PI / grid.period)
-    out, step = np.empty((len(k),) * 3, dtype=complex), -(-len(k) // 2)
-    _map(lambda s: np.exp(-1j * ((k[s, None, None] * x[0] + k[None, :, None] * x[1])
-                                 + k * x[2]), out=out[s]),
-         [slice(i, i + step) for i in range(0, len(k), step)])
+    k = wavevectors(grid)[2, 0, 0].astype(float) * (TWO_PI / grid.period)
+    kx, ky, kz = (k[r] for r in rows)
+    out, step = np.empty((len(kx), len(ky), len(kz)), dtype=complex), -(-len(kx) // 2) or 1
+    _map(lambda s: np.exp(-1j * ((kx[s, None, None] * x[0] + ky[None, :, None] * x[1])
+                                 + kz * x[2]), out=out[s]),
+         [slice(i, i + step) for i in range(0, len(kx), step)])
     return out
 
 
@@ -315,14 +319,24 @@ def _fit(residual: list[SpectralField], sched: list[ScaleCore], tail: range, p: 
 def _update(residual: list[SpectralField], sched: list[ScaleCore],
             profile: SpectralField, p: float, op) -> None:
     """op(residual[n].coeffs, Lambda_n profile) in place, one task per index
-    n: operator.iadd restores a profile, operator.isub deflates it."""
-    _map(lambda n: op(residual[n].coeffs, scale_op(sched[n], profile, p, strict=False).coeffs),
-         range(len(sched)))
+    n: operator.iadd restores a profile, operator.isub deflates it.  Lambda_n profile is
+    formed (as scale_op does: amp * profile, times the phase) only on its occupied rows."""
+    occupied, s = _occupied(profile.coeffs), critical_index(p, p).s
+
+    def update(n: int) -> None:
+        _, keep, tgt = _lattice(profile.grid.n_points, -sched[n].m)
+        src, at = zip(*((keep[mask[keep]], tgt[mask[keep]]) for mask in occupied))
+        vals = 2.0 ** (sched[n].m * s) * profile.coeffs[(Ellipsis,) + np.ix_(*src)]
+        if tuple(sched[n].core) != (0, 0, 0):
+            vals *= _phase(profile.grid, sched[n].core, at)
+        at = (Ellipsis,) + np.ix_(*at)
+        residual[n].coeffs[at] = op(residual[n].coeffs[at], vals)
+    _map(update, range(len(sched)))
 
 
 def _tail_average(residual: list[SpectralField], sched: list[ScaleCore],
                   tail: range, p: float) -> SpectralField:
-    acc = _unscale(sched[tail[0]], residual[tail[0]], p).coeffs.copy()  # may be a residual's
+    acc = _unscale(sched[tail[0]], residual[tail[0]], p).coeffs  # always a new array
     for n in tail[1:]:
         acc += _unscale(sched[n], residual[n], p).coeffs
     acc *= 1.0 / len(tail)
@@ -356,13 +370,17 @@ def _unscale(sc: ScaleCore, u: SpectralField, p: float) -> SpectralField:
     """Inverse of scale_op in the critical normalization, dropping modes
     that do not descend from the coarse lattice (weak-limit filtering).
 
-    It is translate(u, -x_c) then a non-strict dyadic_shift by m, with the phase
-    evaluated only at the kept modes (1/8 at m = -1): amp * (u * phase) there."""
+    It is translate(u, -x_c) then a non-strict dyadic_shift by m, in a new array, with
+    the phase evaluated only at the kept modes (1/8 at m = -1): amp * (u * phase) there,
+    +0 elsewhere; at m = 0, u * phase on the product set of the rows u occupies."""
     core = tuple(-c for c in sc.core)
-    if sc.m == 0:  # the amplitude is 1 and the shift the identity
-        return translate(u, core)
     phase = None if core == (0, 0, 0) else lambda rows: _phase(u.grid, core, rows)
-    return _lattice_shift(u, sc.m, 2.0 ** (-sc.m * critical_index(p, p).s), False, phase)
+    if sc.m != 0:
+        return _lattice_shift(u, sc.m, 2.0 ** (-sc.m * critical_index(p, p).s), False, phase)
+    rows = tuple(np.flatnonzero(mask) for mask in _occupied(u.coeffs))
+    at, out = (Ellipsis,) + np.ix_(*rows), np.zeros_like(u.coeffs)
+    out[at] = u.coeffs[at] if phase is None else u.coeffs[at] * phase(rows)
+    return replace(u, coeffs=out)
 
 
 # -- evolved decomposition -----------------------------------------------------

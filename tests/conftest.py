@@ -57,6 +57,20 @@ def two_profile_seq(grid32):
     return [synthesize(ps, n, 2) for n in range(len(ms))]
 
 
+@pytest.fixture(scope="session")
+def criterion_12_seq(grid64):
+    """The criterion-12 sequence (test_acceptance.py): a shell-1 profile at
+    m = 0 and the origin, and a shell-0 profile concentrating (m = -1..-3) at
+    moving cores, over six indices."""
+    phi1 = random_band_limited(grid64, j_lo=1, j_hi=1, seed=21, amplitude=1.0)
+    phi2 = random_band_limited(grid64, j_lo=0, j_hi=0, seed=22, amplitude=0.7)
+    ms, seps = (-1, -1, -2, -2, -3, -3), (3, 5, 7, 9, 11, 13)
+    ps = ProfileSet([phi1, phi2], [[ScaleCore(0)] * len(ms),
+                                   [ScaleCore(m, (s, s, s)) for m, s in zip(ms, seps)]],
+                    [None] * len(ms))
+    return [synthesize(ps, n, 2, p=3.0) for n in range(len(ms))]
+
+
 @pytest.fixture
 def no_monitor(monkeypatch):
     """Make `solver.monitor` raise: callers that read only convergence

@@ -393,9 +393,19 @@ def test_profiles_command_evolves_the_set(tmp_path):
     ("profiles", PROFILES.replace("-2 -2", "-2 -2.5"), "[profiles] m_sweep",
      "pythagorean_gap"),
     ("profiles", PROFILES.replace("7 9", "7 x"), "[profiles] sep_sweep", "pythagorean_gap"),
+    # past 63 rungs the int64 shift used to wrap to an all-zero field
+    ("profiles", PROFILES.replace("-2 -2", "-2 -64"), "[profiles] m_sweep entry -64",
+     "pythagorean_gap"),
+    # a typed read that does not parse names its key
+    ("iterate", SOLVE + "[iterate]\nj_steps = 1.5\n", "[iterate] j_steps", "solve"),
+    ("iterate", SOLVE.replace("n_points = 32", "n_points = x") + "[iterate]\nj_steps = 2\n",
+     "[grid] n_points", "solve"),
+    ("iterate", SOLVE.replace("dt = 0.01", "dt = fast") + "[iterate]\nj_steps = 2\n",
+     "[solver] dt", "solve"),
 ], ids=["iterate_j_steps_0", "iterate_j_steps_neg", "norms_q", "expand_k", "profiles_p",
         "profiles_m_sweep_nyquist", "profiles_m_sweep_lattice", "profiles_m_sweep_int",
-        "profiles_sep_sweep_int"])
+        "profiles_sep_sweep_int", "profiles_m_sweep_64", "iterate_j_steps_float",
+        "grid_n_points_text", "solver_dt_text"])
 def test_exit_2_on_bad_setting_before_numerics(tmp_path, monkeypatch, capsys, command,
                                                body, key, first):
     # a value the numerics would reject late, or not at all, is a config

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnslab.errors import GridError, ResolutionError
-from bnslab.field import (SpectralField, dyadic_shift, from_physical,
+from bnslab.field import (SpectralField, _lattice, dyadic_shift, from_physical,
                           heat_flow, leray_project, lp_norm,
                           random_band_limited, scaling_transform, shell_bump,
                           single_mode, taylor_green_like, zero_field)
@@ -167,6 +167,23 @@ def test_dyadic_shift_nyquist_guard(grid):
     assert v.l2() == 0.0
     with pytest.raises(ResolutionError):
         dyadic_shift(u, 1)
+
+
+@pytest.mark.parametrize("m", [5, -5, 63, -63, 64, -64, 65, -65])
+def test_dyadic_lattice_exact_for_every_m(grid, m):
+    # the kept rows and their targets match Python's unbounded integers, and
+    # a populated mode that leaves the lattice raises, however large |m| is
+    n = grid.n_points
+    idx = [int(i) for i in np.fft.fftfreq(n, 1.0 / n)]
+    ok = [abs(i * 2**m) < n // 2 if m > 0 else i % 2**-m == 0 for i in idx]
+    keep = [j for j in range(n) if ok[j]]
+    tgt = [(idx[j] * 2**m if m > 0 else idx[j] // 2**-m) % n for j in keep]
+    valid, kept, to = _lattice(n, m)
+    assert (valid.tolist(), kept.tolist(), to.tolist()) == (ok, keep, tgt)
+    u = single_mode(grid, (2, 0, 0))
+    with pytest.raises(ResolutionError):
+        dyadic_shift(u, m)
+    assert dyadic_shift(u, m, strict=False).l2() == 0.0
 
 
 @given(m=st.integers(min_value=-2, max_value=1))

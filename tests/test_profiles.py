@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from bnslab import littlewood_paley, profiles
 from bnslab.errors import GridError
-from bnslab.field import (dyadic_shift, random_band_limited, scaling_transform,
+from bnslab.field import (_map, dyadic_shift, random_band_limited, scaling_transform,
                           set_threads, shell_bump)
 from bnslab.grid import TWO_PI, GridSpec, wavevectors
 from bnslab.littlewood_paley import besov_norm, critical_index
@@ -185,10 +185,17 @@ def _full_phase_translate(f, core):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_scale_core_operators_same_bytes_as_full_phase(grid, threads):
-    # _unscale evaluates its phase on the shift's lattice only and translate
-    # builds it from 1-D rows in slabs; both must keep every byte of the
-    # full-phase formulas: translate then shift, and shift then translate
+    # _unscale evaluates its phase on the shift's lattice only (at m = 0 on the
+    # rows u occupies) and translate builds it from 1-D rows in slabs; both must
+    # keep every byte of the full-phase formulas: translate then shift, and
+    # shift then translate.  _unscale at m = 0 holds exactly +0 off the product
+    # set of u's occupied rows, as at m != 0 off the lattice
     u = random_band_limited(grid, j_lo=0, j_hi=2, seed=40)
+    rows = [np.flatnonzero(np.any(u.coeffs != 0, axis=tuple({0, 1, 2, 3} - {a})))
+            for a in (1, 2, 3)]
+    assert all(0 < len(r) < grid.n_points for r in rows)  # a proper product set
+    on = np.zeros(u.coeffs.shape, dtype=bool)
+    on[(Ellipsis,) + np.ix_(*rows)] = True
     traj = heat_trajectory(u, np.linspace(0.0, 0.05, 3))
     set_threads(threads)
     try:
@@ -203,7 +210,12 @@ def test_scale_core_operators_same_bytes_as_full_phase(grid, threads):
                     sc = ScaleCore(m, core)
                     ref = dyadic_shift(_full_phase_translate(u, back), m,
                                        amplitude=2.0 ** (-m * s), strict=False)
-                    assert _unscale(sc, u, p).coeffs.tobytes() == ref.coeffs.tobytes()
+                    got = _unscale(sc, u, p).coeffs
+                    if m == 0:
+                        assert got[on].tobytes() == ref.coeffs[on].tobytes()
+                        assert got[~on].tobytes() == bytes(got[~on].nbytes)
+                    else:
+                        assert got.tobytes() == ref.coeffs.tobytes()
                     for f in (u, traj):
                         ref = _full_phase_translate(
                             dyadic_shift(f, -m, amplitude=2.0 ** (m * s), strict=False), core)
@@ -301,6 +313,63 @@ def test_align_core_same_bytes_as_scaled_copy(grid, threads, monkeypatch):
                 if core is not None and w.sup_coeff() > 0:  # the planted core, up to
                     period = (n >> max(0, -m)) // _mode_gcd(cand)  # the copy's period
                     assert all((g - c) % period == 0 for g, c in zip(got, core)), (m, core)
+    finally:
+        set_threads(0)
+
+
+def _full_phase_update(residual, sched, profile, p, op):
+    """`_update` by the full non-strict scaled copy of the profile."""
+    _map(lambda n: op(residual[n].coeffs, scale_op(sched[n], profile, p, strict=False).coeffs),
+         range(len(sched)))
+
+
+def _full_phase_unscale(sc, u, p):
+    """`_unscale` with a full-size phase at m = 0, always into a new array."""
+    if sc.m != 0:
+        return _unscale(sc, u, p)
+    return replace(u, coeffs=translate(u, tuple(-c for c in sc.core)).coeffs.copy())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_extraction_same_values_as_full_phase_reference(two_profile_seq, criterion_12_seq,
+                                                        threads, monkeypatch):
+    # deflation, restoration and the m = 0 unscale work on the rows their
+    # inputs occupy; the full-size scaled copies and phases they replace must
+    # give the same schedules and values, with only the sign of zeros moved, and
+    # the only full-size phases left are the final gauge's (its scale_op calls);
+    # p = 5 gives the amplitudes that p = 3 (s_p = 0) leaves at 1
+    phase, scale = profiles._phase, profiles.scale_op
+    full, gauged = [], []
+
+    def counted_phase(grid, core, *rows):
+        out = phase(grid, core, *rows)
+        if out.size == grid.n_points**3 and not gauged:
+            full.append(core)
+        return out
+
+    def gauge(*args, **kwargs):
+        gauged.append(1)
+        try:
+            return scale(*args, **kwargs)
+        finally:
+            gauged.pop()
+    set_threads(threads)
+    try:
+        for seq, p in ((two_profile_seq, 3.0), (two_profile_seq, 5.0), (criterion_12_seq, 3.0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(profiles, "_phase", counted_phase)
+                patch.setattr(profiles, "scale_op", gauge)
+                got = extract_profiles(seq, j_max=3, threshold=0.01, p=p)
+            with monkeypatch.context() as patch:
+                patch.setattr(profiles, "_update", _full_phase_update)
+                patch.setattr(profiles, "_unscale", _full_phase_unscale)
+                ref = extract_profiles(seq, j_max=3, threshold=0.01, p=p)
+            assert full == []
+            assert (got.schedules, got.complete) == (ref.schedules, ref.complete)
+            assert got.n_profiles() == 2
+            for a, b in zip(got.profiles + got.remainders, ref.profiles + ref.remainders):
+                assert np.array_equal(a.coeffs, b.coeffs)
+                assert (a.coeffs + 0.0).tobytes() == (b.coeffs + 0.0).tobytes()
     finally:
         set_threads(0)
 
