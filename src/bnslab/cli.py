@@ -78,7 +78,7 @@ def main(argv=None) -> int:
             configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InversionError, FloatingPointError) as exc:
+    except (InversionError, ArithmeticError) as exc:
         _error_report(out_dir, str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -144,11 +144,12 @@ def _occupied(c: np.ndarray) -> tuple:
 
 def _sparse(occupied: tuple, n: int) -> tuple:
     """Index and `_real_physical` rows of the lines the x, y and k_z >= 0 masks
-    `occupied` mark; the k_z >= 0 planes and None past N/2 rows on x or y."""
+    `occupied` mark; the k_z >= 0 planes and None when they fill every x row,
+    every y row and all N/2 + 1 planes, where no pass can skip a line."""
     x, y, z = (np.flatnonzero(a) for a in occupied)
-    if 2 * max(len(x), len(y)) > n:
-        return (slice(None), slice(None), slice(n // 2 + 1)), None
     nz = z[-1] + 1 if len(z) else 0
+    if len(x) == len(y) == n and nz == n // 2 + 1:
+        return (slice(None), slice(None), slice(nz)), None
     return np.ix_(x, y, np.arange(nz)), (x, y, nz)
 
 
@@ -158,7 +159,9 @@ def _real_physical(half: np.ndarray, n: int, rows: tuple | None = None) -> np.nd
     planes past N/2 are not read), by `irfftn`.  With `rows` = (xs, ys, nz),
     `half` holds only the modes at fftn x rows xs, y rows ys and k_z < nz,
     and the inverse skips the zero lines in `irfftn`'s order: x over the
-    occupied y-z lines, then y over every x, then the real z pass."""
+    occupied y-z lines, then y over every x into the first nz planes of one
+    zeroed N/2 + 1 plane buffer, then the real z pass over that buffer (no
+    padding copy)."""
     if rows is None:
         return sfft.irfftn(half[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
                            norm="forward", workers=_workers())
@@ -166,10 +169,13 @@ def _real_physical(half: np.ndarray, n: int, rows: tuple | None = None) -> np.nd
     buf = np.zeros(lead + (n, len(ys), nz), dtype=complex)
     buf[..., xs, :, :] = half
     xt = sfft.ifftn(buf, axes=(-3,), norm="forward", workers=_workers(), overwrite_x=True)
-    buf = np.zeros(lead + (n, n, nz), dtype=complex)
-    buf[..., ys, :] = xt
-    yt = sfft.ifftn(buf, axes=(-2,), norm="forward", workers=_workers(), overwrite_x=True)
-    return sfft.irfftn(yt, s=(n,), axes=(-1,), norm="forward", workers=_workers())
+    out = np.zeros(lead + (n, n, n // 2 + 1), dtype=complex)
+    planes = out[..., :nz]
+    planes[..., ys, :] = xt
+    yt = sfft.ifftn(planes, axes=(-2,), norm="forward", workers=_workers(), overwrite_x=True)
+    if not np.may_share_memory(yt, out):  # not run in place on the strided view (or nz = 0)
+        planes[...] = yt
+    return sfft.irfftn(out, s=(n,), axes=(-1,), norm="forward", workers=_workers())
 
 
 class _Field:
@@ -500,38 +506,32 @@ def dyadic_shift(u: _Field, m: int, amplitude: float = 1.0,
     """
     if m == 0:
         return u if amplitude == 1.0 else u * amplitude
-    return _lattice_shift(u, m, amplitude, strict)
+    n = u.grid.n_points
+    rows, kept, tgt = _lattice_box((np.arange(n),) * 3, u.coeffs, n, m)
+    valid = np.isin(np.arange(n), rows[0])  # never every row: m > 0 drops the Nyquist row
+    off = ~(valid[:, None, None] & valid[:, None] & valid)
+    if strict and np.any(np.abs(u.coeffs[..., off]) > 0):
+        raise ResolutionError(f"dyadic shift by {m} moves populated modes out of the grid")
+    out = np.zeros_like(u.coeffs)
+    out[(Ellipsis,) + np.ix_(*tgt)] = amplitude * kept
+    return replace(u, coeffs=out)
 
 
-def _lattice(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(valid, keep, tgt) of a dyadic shift by m on each axis of N modes: which
-    fftn rows it keeps, their indices and the rows they land on (identity at m = 0).
-    Every |m| >= b = N.bit_length() keeps row 0 alone, so m is clamped to [-b, b]."""
+def _lattice_box(rows: tuple, block: np.ndarray, n: int, m: int) -> tuple:
+    """What a dyadic shift by m keeps of `block` (..., X, Y, Z), the modes at the
+    product set of the fftn rows `rows` (an index array per axis): per axis the
+    kept rows, the block on their product set (a new array), and per axis the
+    rows they land on, all in the order of `rows`.  Every |m| >= b = N.bit_length()
+    keeps row 0 alone, so m is clamped to [-b, b] (exact int64 arithmetic)."""
     b = n.bit_length()
-    m, idx1d = max(-b, min(m, b)), np.fft.fftfreq(n, 1.0 / n).astype(int)
+    m, idx = max(-b, min(m, b)), np.fft.fftfreq(n, 1.0 / n).astype(int)
     # for m > 0 the Nyquist bin +-N/2 is a single shared slot; landing there
     # would collide Hermitian partners, so treat it as out of range
-    valid = np.abs(idx1d << m) < n // 2 if m > 0 else idx1d % (1 << (-m)) == 0
-    keep = np.nonzero(valid)[0]
-    return valid, keep, (idx1d[keep] << m if m > 0 else idx1d[keep] >> (-m)) % n
-
-
-def _lattice_shift(u: _Field, m: int, amplitude: float, strict: bool, phase=None) -> _Field:
-    """`dyadic_shift` by m != 0; `phase(rows)`, when given, multiplies the kept
-    modes first, rows = (keep, keep, keep) the fftn rows kept on each axis."""
-    valid, keep, tgt = _lattice(u.grid.n_points, m)
-    if strict and not np.all(valid):
-        valid3 = valid[:, None, None] & valid[None, :, None] & valid[None, None, :]
-        if np.any(np.abs(u.coeffs[..., ~valid3]) > 0):
-            raise ResolutionError(
-                f"dyadic shift by {m} moves populated modes out of the grid"
-            )
-    kept = u.coeffs[(Ellipsis,) + np.ix_(keep, keep, keep)]
-    if phase is not None:
-        kept *= phase((keep,) * 3)
-    out = np.zeros_like(u.coeffs)
-    out[(Ellipsis,) + np.ix_(tgt, tgt, tgt)] = amplitude * kept
-    return replace(u, coeffs=out)
+    valid = np.abs(idx << m) < n // 2 if m > 0 else idx % (1 << (-m)) == 0
+    tgt = (idx << m if m > 0 else idx >> (-m)) % n
+    at = tuple(np.flatnonzero(valid[r]) for r in rows)
+    src = tuple(r[i] for r, i in zip(rows, at))
+    return src, block[(Ellipsis,) + np.ix_(*at)], tuple(tgt[r] for r in src)
 
 
 def dealias(u: _Field) -> _Field:

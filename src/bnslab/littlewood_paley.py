@@ -15,7 +15,7 @@ polynomial is Parseval's vol * sum |delta_j c|^2, with no transform.  And a
 block vanishes off the lines both its level and its multiplier occupy, so
 one scan of the level's k_z >= 0 half, intersected with each multiplier's
 cached masks, lets a block's inverse skip the other lines (Sorensen & Burrus
-1993) if the rest span at most half the grid on x and on y; a zero block is
+1993) on every axis the block leaves partly empty; a zero block is
 normed 0.0 untransformed.  Time levels are independent, so the
 engine runs one level per task on the pool of `field._map`, shells on one thread.
 """

@@ -2,8 +2,9 @@
 extractor, orthogonality diagnostics, and the evolved decomposition of a whole
 set in one call, one record per index, each profile solved once per scale.
 
-The extractor deflates, restores and unscales only on the rows its fields occupy,
-by the operators' float operations: only the sign of a zero it skips can differ.
+The extractor holds candidates and profiles on support boxes (`_box`) until it
+returns them, and scales, unscales and tail-averages only on boxes, by the
+operators' float operations: only the sign of a zero it skips can differ.
 
 Scales are dyadic and cores grid-aligned, so every operator is exact in
 coefficient space.  On the torus the continuum scaling operator splits
@@ -21,15 +22,16 @@ dilation of the domain; a periodized dilation wraps instead of spreading.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridError, ResolutionError
-from .field import (SpectralField, _Field, _lattice, _lattice_shift, _map, _occupied,
-                    _real_physical, dyadic_shift)
+from .errors import GridError
+from .field import (SpectralField, _Field, _lattice_box, _map, _occupied, _real_physical,
+                    dyadic_shift)
 from .grid import GridSpec, TWO_PI, wavevectors
 from .littlewood_paley import (BesovIndex, _block_lp_norms, _blocks, besov_from_blocks,
                                besov_norm, block_lp_norms, critical_index)
@@ -254,7 +256,7 @@ def extract_profiles(
     idx_q = critical_index(6.0, 6.0)
     residual = [replace(f, coeffs=f.coeffs.copy()) for f in seq]
     tail = range(len(seq) // 2, len(seq))
-    profiles: list[SpectralField] = []
+    profiles: list[tuple] = []  # boxes until they are returned
     schedules: list[list[ScaleCore]] = []
     while True:
         norms = dict(zip(tail, _map(lambda n: _block_lp_norms(residual[n], (idx_q.p, idx.p)),
@@ -269,7 +271,7 @@ def extract_profiles(
                                 block_lp_norms(residual[n], idx.p), grid, idx),
             _peak_cell(residual[n])), range(len(residual)))
         sched, cand = _fit(residual, sched, tail, p, 2)
-        if besov_norm(cand, idx) < threshold:
+        if besov_norm(_full(grid, cand), idx) < threshold:
             complete = True
             break
         if any(orthogonality_gap(sched[-1], s[-1], grid) < 4.0 for s in schedules):
@@ -290,11 +292,11 @@ def extract_profiles(
     for jj in range(len(profiles)):
         try:
             ref_inv = schedules[jj][-1].inverse()
-            profiles[jj] = scale_op(schedules[jj][-1], profiles[jj], p,
-                                    strict=False)
+            profiles[jj] = _scaled(schedules[jj][-1], profiles[jj], grid, p)
             schedules[jj] = [s.compose(ref_inv) for s in schedules[jj]]
-        except (GridError, ResolutionError):
+        except GridError:
             pass
+    profiles = [_full(grid, box) for box in profiles]
     order = np.argsort([-besov_norm(f, idx) for f in profiles])
     profiles = [profiles[i] for i in order]
     schedules = [schedules[i] for i in order]
@@ -302,90 +304,105 @@ def extract_profiles(
 
 
 def _fit(residual: list[SpectralField], sched: list[ScaleCore], tail: range, p: float,
-         rounds: int) -> tuple[list[ScaleCore], SpectralField]:
-    """Tail-average the unscaled residuals into a candidate, then `rounds`
+         rounds: int) -> tuple[list[ScaleCore], tuple]:
+    """Tail-average the unscaled residuals into a candidate box, then `rounds`
     times refine every core by cross-correlating its residual against the
     scaled candidate (raw peak cells are noisy when several bumps coexist)
-    and rebuild the candidate."""
-    cand = _tail_average(residual, sched, tail, p)
+    and rebuild the candidate.  Each tail residual is scanned once."""
+    grid, boxes = residual[0].grid, dict(zip(tail, _map(lambda n: _box(residual[n].coeffs), tail)))
+    cand = _tail_average(boxes, sched, tail, grid, p)
     for _ in range(rounds):
-        occupied = _occupied(cand.coeffs)
         sched = _map(lambda n: ScaleCore(sched[n].m, _align_core(
-            residual[n], cand, sched[n].m, p, occupied)), range(len(residual)))
-        cand = _tail_average(residual, sched, tail, p)
+            residual[n], cand, sched[n].m, p)), range(len(residual)))
+        cand = _tail_average(boxes, sched, tail, grid, p)
     return sched, cand
 
 
-def _update(residual: list[SpectralField], sched: list[ScaleCore],
-            profile: SpectralField, p: float, op) -> None:
-    """op(residual[n].coeffs, Lambda_n profile) in place, one task per index
-    n: operator.iadd restores a profile, operator.isub deflates it.  Lambda_n profile is
-    formed (as scale_op does: amp * profile, times the phase) only on its occupied rows."""
-    occupied, s = _occupied(profile.coeffs), critical_index(p, p).s
+def _box(c: np.ndarray, rows: tuple | None = None) -> tuple:
+    """The support box (rows, block) of c (..., X, Y, Z), whose axes hold the fftn
+    rows `rows` (every row when None): per axis the rows holding a nonzero value,
+    by one scan, and c on their product set; c is zero off that set."""
+    at = tuple(np.flatnonzero(mask) for mask in _occupied(c))
+    return tuple(at if rows is None else map(np.take, rows, at)), c[(Ellipsis,) + np.ix_(*at)]
 
+
+def _full(grid: GridSpec, box: tuple) -> SpectralField:
+    """The field of a support box."""
+    n = grid.n_points
+    c = np.zeros(box[1].shape[:-3] + (n, n, n), dtype=complex)
+    c[(Ellipsis,) + np.ix_(*box[0])] = box[1]
+    return SpectralField(grid, c)
+
+
+def _scaled(sc: ScaleCore, box: tuple, grid: GridSpec, p: float) -> tuple:
+    """The box of scale_op(sc, u, p, strict=False) for u's box, by its float
+    operations: amp * u at the rows the shift keeps, times the phase where they land."""
+    _, vals, at = _lattice_box(*box, grid.n_points, -sc.m)
+    vals *= 2.0 ** (sc.m * critical_index(p, p).s)
+    if tuple(sc.core) != (0, 0, 0):
+        vals *= _phase(grid, sc.core, at)
+    return at, vals
+
+
+def _unscale(sc: ScaleCore, box: tuple, grid: GridSpec, p: float) -> tuple:
+    """Inverse of `_scaled`, dropping modes that do not descend from the coarse
+    lattice (weak-limit filtering): the box of translate(u, -x_c) then a non-strict
+    dyadic_shift by m, amp * (u * phase) with the phase at the kept rows."""
+    rows, vals, at = _lattice_box(*box, grid.n_points, sc.m)
+    if tuple(sc.core) != (0, 0, 0):
+        vals *= _phase(grid, tuple(-c for c in sc.core), rows)
+    if sc.m != 0:  # dyadic_shift leaves m = 0 unmultiplied
+        vals *= 2.0 ** (-sc.m * critical_index(p, p).s)
+    return at, vals
+
+
+def _update(residual: list[SpectralField], sched: list[ScaleCore], profile: tuple,
+            p: float, op) -> None:
+    """op(residual[n].coeffs, Lambda_n profile) in place on the box `_scaled` gives,
+    one task per index n: operator.iadd restores a profile box, operator.isub
+    deflates it."""
     def update(n: int) -> None:
-        _, keep, tgt = _lattice(profile.grid.n_points, -sched[n].m)
-        src, at = zip(*((keep[mask[keep]], tgt[mask[keep]]) for mask in occupied))
-        vals = 2.0 ** (sched[n].m * s) * profile.coeffs[(Ellipsis,) + np.ix_(*src)]
-        if tuple(sched[n].core) != (0, 0, 0):
-            vals *= _phase(profile.grid, sched[n].core, at)
-        at = (Ellipsis,) + np.ix_(*at)
+        rows, vals = _scaled(sched[n], profile, residual[n].grid, p)
+        at = (Ellipsis,) + np.ix_(*rows)
         residual[n].coeffs[at] = op(residual[n].coeffs[at], vals)
     _map(update, range(len(sched)))
 
 
-def _tail_average(residual: list[SpectralField], sched: list[ScaleCore],
-                  tail: range, p: float) -> SpectralField:
-    acc = _unscale(sched[tail[0]], residual[tail[0]], p).coeffs  # always a new array
-    for n in tail[1:]:
-        acc += _unscale(sched[n], residual[n], p).coeffs
+def _tail_average(boxes: dict, sched: list[ScaleCore], tail: range, grid: GridSpec,
+                  p: float) -> tuple:
+    """The box of the mean of the tail's unscaled residual boxes, summed in index
+    order on the union of their rows and trimmed to the rows the mean occupies."""
+    parts = [_unscale(sched[n], boxes[n], grid, p) for n in tail]
+    rows = tuple(functools.reduce(np.union1d, axis) for axis in zip(*(at for at, _ in parts)))
+    acc = np.zeros(parts[0][1].shape[:-3] + tuple(map(len, rows)), dtype=complex)
+    for at, vals in parts:
+        acc[(Ellipsis,) + np.ix_(*map(np.searchsorted, rows, at))] += vals
     acc *= 1.0 / len(tail)
-    return replace(residual[0], coeffs=acc)
+    return _box(acc, rows)
 
 
-def _align_core(r: SpectralField, cand: SpectralField, m: int, p: float,
-                occupied: tuple | None = None) -> tuple[int, int, int]:
-    """Grid shift maximizing the circular cross-correlation of r with
-    scale_op(ScaleCore(m), cand), whose spectrum is formed by the same float
-    operations, and inverted, only at the images of cand's `occupied` rows
-    (else `field._occupied(cand.coeffs)`), in the x planes the inverse reads."""
+def _align_core(r: SpectralField, cand: tuple, m: int, p: float) -> tuple[int, int, int]:
+    """Grid shift maximizing the circular cross-correlation of r with the candidate
+    box scaled by `_scaled` at scale m, formed and inverted only at that box's rows,
+    in the x planes the inverse reads."""
     n = r.grid.n_points
-    _, keep, tgt = _lattice(n, -m)
-    x, y, z = (mask[keep] for mask in (occupied or _occupied(cand.coeffs)))
-    x &= tgt <= n // 2
-    amp, at = 2.0 ** (m * critical_index(p, p).s), np.ix_(tgt[x], tgt[y], tgt[z])
-    w = cand.coeffs[(Ellipsis,) + np.ix_(keep[x], keep[y], keep[z])]
-    w = np.conj(np.multiply(amp, w, out=w), out=w)  # in place: tasks run side by side
-    spec = np.zeros((int(np.max(tgt[x], initial=-1)) + 1,) + w.shape[-2:], dtype=complex)
-    spec[tgt[x]] = np.sum(np.multiply(w, r.coeffs[(Ellipsis,) + at], out=w), axis=0)
+    (tx, ty, tz), w = _scaled(ScaleCore(m), cand, r.grid, p)
+    x = tx <= n // 2
+    w, tx = np.conj(w[..., x, :, :]), tx[x]
+    spec = np.zeros((int(np.max(tx, initial=-1)) + 1,) + w.shape[-2:], dtype=complex)
+    spec[tx] = np.sum(np.multiply(w, r.coeffs[(Ellipsis,) + np.ix_(tx, ty, tz)], out=w), axis=0)
     # a periodic scaled candidate gives exactly tied correlation maxima, and
     # rounding decides which one argmax returns: the transpose transforms the
     # last axis first, the order under which test_criterion_12_extraction_roundtrip
     # finds its two profiles (untransposed, it finds three)
-    corr = _real_physical(spec.T, n, (tgt[z], tgt[y], len(spec))).T
+    corr = _real_physical(spec.T, n, (tz, ty, len(spec))).T
     return tuple(int(i) for i in np.unravel_index(np.argmax(corr), corr.shape))
-
-
-def _unscale(sc: ScaleCore, u: SpectralField, p: float) -> SpectralField:
-    """Inverse of scale_op in the critical normalization, dropping modes
-    that do not descend from the coarse lattice (weak-limit filtering).
-
-    It is translate(u, -x_c) then a non-strict dyadic_shift by m, in a new array, with
-    the phase evaluated only at the kept modes (1/8 at m = -1): amp * (u * phase) there,
-    +0 elsewhere; at m = 0, u * phase on the product set of the rows u occupies."""
-    core = tuple(-c for c in sc.core)
-    phase = None if core == (0, 0, 0) else lambda rows: _phase(u.grid, core, rows)
-    if sc.m != 0:
-        return _lattice_shift(u, sc.m, 2.0 ** (-sc.m * critical_index(p, p).s), False, phase)
-    rows = tuple(np.flatnonzero(mask) for mask in _occupied(u.coeffs))
-    at, out = (Ellipsis,) + np.ix_(*rows), np.zeros_like(u.coeffs)
-    out[at] = u.coeffs[at] if phase is None else u.coeffs[at] * phase(rows)
-    return replace(u, coeffs=out)
 
 
 # -- evolved decomposition -----------------------------------------------------
 
-_EVOLVE_Q = 5.0  # the time exponent of the script norms in an evolved record
+_EVOLVE_Q = 5.0  # an evolved record's script norms: the spatial integrability
+# and the l^q exponent over the shells (the time exponents are 2 and inf)
 
 
 def evolve_decomposition(ps: ProfileSet, cfg: SolverConfig, p: float = 3.0) -> list[dict]:

@@ -6,10 +6,10 @@ to one evaluation per run.
 import numpy as np
 import pytest
 
-from bnslab import solver, spacetime
+from bnslab import profiles, solver, spacetime
 from bnslab.field import random_band_limited
 from bnslab.grid import GridSpec
-from bnslab.profiles import ProfileSet, ScaleCore, synthesize
+from bnslab.profiles import ProfileSet, ScaleCore, evolve_decomposition, synthesize
 from bnslab.solver import SolverConfig, picard_solve
 
 
@@ -71,6 +71,26 @@ def criterion_12_seq(grid64):
     return [synthesize(ps, n, 2, p=3.0) for n in range(len(ms))]
 
 
+@pytest.fixture(scope="session")
+def criterion_11_run(grid64):
+    """Criterion 11's evolved decomposition (test_acceptance.py), made once: two
+    shell-2 profiles, the first at m = 0 and the origin at every index, the
+    second at m = n and core (5, 9, 3), over four indices.  Returns its records,
+    the number of `solve` calls it made and the p of each block-norm matrix."""
+    phi1 = random_band_limited(grid64, j_lo=2, j_hi=2, seed=41, amplitude=0.6)
+    phi2 = random_band_limited(grid64, j_lo=2, j_hi=2, seed=42, amplitude=0.3)
+    ps = ProfileSet(profiles=[phi1, phi2],
+                    schedules=[[ScaleCore(0, (0, 0, 0))] * 4,
+                               [ScaleCore(n, (5, 9, 3)) for n in range(4)]],
+                    remainders=[None] * 4)
+    solves, matrices = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profiles, "solve", lambda *args: solves.append(1) or solver.solve(*args))
+        _count_block_matrices(patch, matrices)
+        records = evolve_decomposition(ps, SolverConfig(dt=0.005, n_steps=8), p=3.0)
+    return records, len(solves), matrices
+
+
 @pytest.fixture
 def no_monitor(monkeypatch):
     """Make `solver.monitor` raise: callers that read only convergence
@@ -85,13 +105,18 @@ def block_matrices(monkeypatch):
     """Count the block-norm matrices built through `spacetime`; the
     returned list grows by one entry per matrix."""
     calls = []
+    _count_block_matrices(monkeypatch, calls)
+    return calls
+
+
+def _count_block_matrices(patch, calls):
+    """Wrap `spacetime.block_lp_norms` on `patch` to append each matrix's p to calls."""
     engine = spacetime.block_lp_norms
 
     def counted(u, p):
         calls.append(p)
         return engine(u, p)
-    monkeypatch.setattr(spacetime, "block_lp_norms", counted)
-    return calls
+    patch.setattr(spacetime, "block_lp_norms", counted)
 
 
 def rng_fields(grid, count, j_lo=0, j_hi=2, amplitude=0.1, seed0=100):

@@ -20,8 +20,8 @@ from bnslab.paraproduct import (bilinear_kato_check, bony_reconstruction_defect,
                                 heat_block_decay_rates,
                                 heat_characterization_norm,
                                 product_estimate_check)
-from bnslab.profiles import (ProfileSet, ScaleCore, evolve_decomposition,
-                             extract_profiles, pythagorean_gap, synthesize)
+from bnslab.profiles import (ProfileSet, ScaleCore, extract_profiles, pythagorean_gap,
+                             synthesize)
 from bnslab.solver import (SolverConfig, bilinear_B, energy_balance_defect,
                            heat_trajectory, picard_solve)
 from bnslab.spacetime import rescale_trajectory, script_norm
@@ -202,16 +202,8 @@ def test_criterion_10_pythagorean_gap_sweep(grid64):
 
 # -- 11. evolved decomposition ----------------------------------------------------------
 
-def test_criterion_11_evolved_decomposition_remainder_decreases(grid64):
-    phi1 = random_band_limited(grid64, j_lo=2, j_hi=2, seed=41, amplitude=0.6)
-    phi2 = random_band_limited(grid64, j_lo=2, j_hi=2, seed=42, amplitude=0.3)
-    scheds2 = [ScaleCore(n, (5, 9, 3)) for n in range(4)]
-    ps = ProfileSet(
-        profiles=[phi1, phi2],
-        schedules=[[ScaleCore(0, (0, 0, 0))] * 4, scheds2],
-        remainders=[None] * 4,
-    )
-    records = evolve_decomposition(ps, SolverConfig(dt=0.005, n_steps=8), p=3.0)
+def test_criterion_11_evolved_decomposition_remainder_decreases(criterion_11_run):
+    records, _, _ = criterion_11_run  # evolve_decomposition on conftest's profile set
     assert [out["n"] for out in records] == [0, 1, 2, 3]
     assert not any(out["diverged"] for out in records)
     rs = [out["r_norm"] for out in records]

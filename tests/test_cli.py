@@ -264,6 +264,19 @@ def test_exit_3_on_divergence(tmp_path):
     assert (out / "error.csv").exists()
 
 
+def test_exit_3_on_overflow(tmp_path, capsys):
+    # at p = 94.5 the Pythagorean gap raises each Besov norm (about 7.7e3 for
+    # amplitude 1e5) to the p-th power, past the float range: OverflowError is
+    # a numerical failure, not a traceback
+    body = PROFILES.replace("j_hi = 0\n[profile2]", "j_hi = 0\namplitude = 1e5\n[profile2]")
+    body = body.replace("amplitude = 0.7", "amplitude = 7e4").replace(
+        "extract = true", "p = 94.5")
+    code, out = run(tmp_path, "profiles", body, "--seed", "21")
+    assert code == 3
+    assert (out / "error.csv").exists()
+    assert "numerical failure:" in capsys.readouterr().err
+
+
 def test_expand_command(tmp_path, no_monitor):
     body = SOLVE.replace("amplitude = 0.3", "amplitude = 0.05") + (
         "[expand]\nmode = duhamel\nn_terms = 2\n")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnslab.errors import GridError, ResolutionError
-from bnslab.field import (SpectralField, _lattice, dyadic_shift, from_physical,
+from bnslab.field import (SpectralField, _lattice_box, dyadic_shift, from_physical,
                           heat_flow, leray_project, lp_norm,
                           random_band_limited, scaling_transform, shell_bump,
                           single_mode, taylor_green_like, zero_field)
@@ -178,8 +178,8 @@ def test_dyadic_lattice_exact_for_every_m(grid, m):
     ok = [abs(i * 2**m) < n // 2 if m > 0 else i % 2**-m == 0 for i in idx]
     keep = [j for j in range(n) if ok[j]]
     tgt = [(idx[j] * 2**m if m > 0 else idx[j] // 2**-m) % n for j in keep]
-    valid, kept, to = _lattice(n, m)
-    assert (valid.tolist(), kept.tolist(), to.tolist()) == (ok, keep, tgt)
+    kept, _, to = _lattice_box((np.arange(n),) * 3, np.zeros((n, n, n)), n, m)
+    assert (kept[0].tolist(), to[0].tolist()) == (keep, tgt)
     u = single_mode(grid, (2, 0, 0))
     with pytest.raises(ResolutionError):
         dyadic_shift(u, m)

@@ -178,14 +178,16 @@ def _reference_lp(phys, grid, p):
     return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
 
 
-def _reference_block_norms(u, p):
+def _reference_block_norms(u, ps):
+    """Block norms at each p of ps, shaped coeffs.shape[:-4] + (n_shells, len(ps)),
+    from the full complex inverse of each block, made once for all the p."""
     deltas = shell_multipliers(u.grid)
-    out = np.empty(u.coeffs.shape[:-4] + (len(deltas),))
-    for i in np.ndindex(out.shape[:-1]):
+    out = np.empty(u.coeffs.shape[:-4] + (len(deltas), len(ps)))
+    for i in np.ndindex(out.shape[:-2]):
         for jj, delta in enumerate(deltas):
             block = np.real(scipy.fft.ifftn(u.coeffs[i] * delta, axes=(-3, -2, -1),
                                             norm="forward"))
-            out[i + (jj,)] = _reference_lp(block, u.grid, p)
+            out[i + (jj,)] = [_reference_lp(block, u.grid, p) for p in ps]
     return out
 
 
@@ -214,8 +216,10 @@ def test_block_engine_matches_full_transform(grid):
     traj = Trajectory(grid, np.array([0.0, 0.5, 0.75, 1.0]),
                       np.stack([u.coeffs, bump.coeffs, top.coeffs,
                                 np.zeros_like(u.coeffs)]))
-    for p in (2.0, 3.0, 4.0, 6.0, 2.5, math.inf):
-        got, ref = block_lp_norms(traj, p), _reference_block_norms(traj, p)
+    ps = (2.0, 3.0, 4.0, 6.0, 2.5, math.inf)
+    refs = _reference_block_norms(traj, ps)
+    for k, p in enumerate(ps):
+        got, ref = block_lp_norms(traj, p), refs[..., k]
         assert np.all(ref[0] > 0.0) and np.all(ref[3] == 0.0)
         assert np.array_equal(got == 0.0, ref == 0.0), p
         nonzero = ref > 0.0
@@ -240,7 +244,7 @@ def test_block_engine_matches_full_transform(grid):
                          ids=["32", "64-jmin1", "32-period1"])
 def test_shell_energies_are_block_l2_squared(grid):
     u = _full_spectrum(grid, seed=23)
-    ref = _reference_block_norms(u, 2.0) ** 2
+    ref = _reference_block_norms(u, (2.0,))[..., 0] ** 2
     assert np.max(np.abs(shell_energies(u) - ref) / ref) < 1e-14
 
 
@@ -264,7 +268,8 @@ def sparse_cases():
     exactly zero or dense: a heat trajectory of a j <= 2 datum, one level of
     bilinear_B (held on the dealiased box), six-mode and filled-shell
     profiles, a bump in shells 2 and 3 whose other shells are exactly zero,
-    and the zero field."""
+    a mode at k_z = 20 that the low blocks meet on x and y rows but on no
+    plane, and the zero field."""
     grid = GridSpec(64)
     heat = heat_trajectory(random_band_limited(grid, j_lo=0, j_hi=2, seed=51, amplitude=0.05),
                            np.array([0.0, 0.05]))
@@ -273,6 +278,7 @@ def sparse_cases():
             "six_mode": random_band_limited(grid, j_lo=1, j_hi=1, seed=52),
             "filled_shell": shell_bump(grid, 1, seed=53),
             "zero_shells": shell_bump(grid, 2, seed=54),
+            "no_plane": single_mode(grid, (1, 2, 20)),
             "zero": zero_field(grid)}
 
 
@@ -289,14 +295,19 @@ def test_pruned_inverses_same_bytes_as_plain_irfftn(sparse_cases, threads):
     # samples (tails included) and physical samples up to the sign of an
     # exact zero (a skipped line of -0.0 inputs comes out +0.0); the bump's
     # shells 2 and 3 are pruned to its 23 of 64 x rows, and its shell 4 is
-    # zero; the six-mode field's shell 1 to its 3 x 3 lines and 5 planes
+    # zero; the six-mode field's shell 1 to its 3 x 3 lines and 5 planes;
+    # bilinear_B's shells 3 and 4 to 43 x 43 lines and 22 planes; and the
+    # k_z = 20 mode's low tail and shells 0-2 to no plane at all (nz = 0)
+    def rows(name):
+        return [r and (len(r[0]), len(r[1]), r[2]) for _, r in littlewood_paley._block_halves(
+            sparse_cases[name].coeffs, GridSpec(64), tails=True)]
     shells = list(littlewood_paley._block_halves(sparse_cases["zero_shells"].coeffs,
                                                  GridSpec(64)))
     assert [len(r[0]) for _, r in shells[:4]] == [7, 15, 23, 23]
     assert not np.any(shells[4][0])
-    _, (xs, ys, nz) = list(littlewood_paley._block_halves(sparse_cases["six_mode"].coeffs,
-                                                          GridSpec(64)))[1]
-    assert (len(xs), len(ys), nz) == (3, 3, 5)
+    assert rows("six_mode")[2] == (3, 3, 5)
+    assert rows("bilinear_B")[4:6] == [(43, 43, 22)] * 2
+    assert rows("no_plane")[:4] == [(1, 0, 0)] + [(1, 1, 0)] * 3
     set_threads(threads)
     try:
         for name, u in sparse_cases.items():

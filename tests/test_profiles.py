@@ -22,7 +22,8 @@ from bnslab.field import (_map, dyadic_shift, random_band_limited, scaling_trans
                           set_threads, shell_bump)
 from bnslab.grid import TWO_PI, GridSpec, wavevectors
 from bnslab.littlewood_paley import besov_norm, critical_index
-from bnslab.profiles import (ProfileSet, ScaleCore, _align_core, _fit, _unscale, cross_term,
+from bnslab.profiles import (ProfileSet, ScaleCore, _align_core, _box, _fit, _full, _unscale,
+                             cross_term,
                              evolve_decomposition, extract_profiles, max_cross_term,
                              orthogonality_gap, pythagorean_gap, scale_op,
                              synthesize, translate)
@@ -185,17 +186,15 @@ def _full_phase_translate(f, core):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_scale_core_operators_same_bytes_as_full_phase(grid, threads):
-    # _unscale evaluates its phase on the shift's lattice only (at m = 0 on the
-    # rows u occupies) and translate builds it from 1-D rows in slabs; both must
-    # keep every byte of the full-phase formulas: translate then shift, and
-    # shift then translate.  _unscale at m = 0 holds exactly +0 off the product
-    # set of u's occupied rows, as at m != 0 off the lattice
+    # _unscale takes the box of the rows u occupies and evaluates its phase
+    # only at the rows the shift keeps, and translate builds it from 1-D rows
+    # in slabs; both must keep every byte of the full-phase formulas: translate
+    # then shift, and shift then translate.  Off _unscale's box (at m = 0 the
+    # product set of u's occupied rows) the full formula holds only zeros
     u = random_band_limited(grid, j_lo=0, j_hi=2, seed=40)
     rows = [np.flatnonzero(np.any(u.coeffs != 0, axis=tuple({0, 1, 2, 3} - {a})))
             for a in (1, 2, 3)]
     assert all(0 < len(r) < grid.n_points for r in rows)  # a proper product set
-    on = np.zeros(u.coeffs.shape, dtype=bool)
-    on[(Ellipsis,) + np.ix_(*rows)] = True
     traj = heat_trajectory(u, np.linspace(0.0, 0.05, 3))
     set_threads(threads)
     try:
@@ -209,13 +208,15 @@ def test_scale_core_operators_same_bytes_as_full_phase(grid, threads):
                     s = critical_index(p, p).s
                     sc = ScaleCore(m, core)
                     ref = dyadic_shift(_full_phase_translate(u, back), m,
-                                       amplitude=2.0 ** (-m * s), strict=False)
-                    got = _unscale(sc, u, p).coeffs
+                                       amplitude=2.0 ** (-m * s), strict=False).coeffs
+                    at, got = _unscale(sc, _box(u.coeffs), grid, p)
+                    on = np.zeros(ref.shape, dtype=bool)
+                    at = (Ellipsis,) + np.ix_(*at)
+                    on[at] = True
+                    assert got.tobytes() == ref[at].tobytes(), (m, core)
+                    assert not np.any(ref[~on]), (m, core)
                     if m == 0:
-                        assert got[on].tobytes() == ref.coeffs[on].tobytes()
-                        assert got[~on].tobytes() == bytes(got[~on].nbytes)
-                    else:
-                        assert got.tobytes() == ref.coeffs.tobytes()
+                        assert [a.ravel().tolist() for a in at[1:]] == [r.tolist() for r in rows]
                     for f in (u, traj):
                         ref = _full_phase_translate(
                             dyadic_shift(f, -m, amplitude=2.0 ** (m * s), strict=False), core)
@@ -226,8 +227,8 @@ def test_scale_core_operators_same_bytes_as_full_phase(grid, threads):
 
 
 def test_fit_leaves_residuals_unchanged(grid):
-    # the tail average sums in place; at m = 0 and the origin _unscale
-    # returns the residual itself, which must not become the sum's buffer
+    # the tail average sums into an array of its own; the residuals it reads,
+    # at m = 0 and the origin too, must come out untouched
     residual = [random_band_limited(grid, j_lo=0, j_hi=2, seed=50 + n) for n in range(6)]
     before = [r.coeffs.tobytes() for r in residual]
     sched = [ScaleCore(-1, (3, 5, 7)), ScaleCore(0, (0, 0, 0))] * 3  # tail starts at m = 0
@@ -304,7 +305,7 @@ def test_align_core_same_bytes_as_scaled_copy(grid, threads, monkeypatch):
                 spec = np.sum(np.conj(w.coeffs) * r.coeffs, axis=0)
                 ref = inverse(spec.T, n).T
                 seen.clear()
-                got = _align_core(r, cand, m, p)
+                got = _align_core(r, _box(cand.coeffs), m, p)
                 assert got == np.unravel_index(np.argmax(ref), ref.shape), (m, core)
                 corr = seen[0].T
                 nonzero = ref != 0
@@ -317,51 +318,46 @@ def test_align_core_same_bytes_as_scaled_copy(grid, threads, monkeypatch):
         set_threads(0)
 
 
-def _full_phase_update(residual, sched, profile, p, op):
-    """`_update` by the full non-strict scaled copy of the profile."""
-    _map(lambda n: op(residual[n].coeffs, scale_op(sched[n], profile, p, strict=False).coeffs),
-         range(len(sched)))
+def _full_phase_scaled(sc, box, grid, p):
+    """`_scaled` of the field of the box by the full-array `scale_op`, as a box on
+    every row."""
+    full = _full(grid, box)
+    return (np.arange(grid.n_points),) * 3, scale_op(sc, full, p, strict=False).coeffs
 
 
-def _full_phase_unscale(sc, u, p):
-    """`_unscale` with a full-size phase at m = 0, always into a new array."""
-    if sc.m != 0:
-        return _unscale(sc, u, p)
-    return replace(u, coeffs=translate(u, tuple(-c for c in sc.core)).coeffs.copy())
+def _full_phase_unscale(sc, box, grid, p):
+    """`_unscale` of the field of the box by the full-array path, translate then a
+    non-strict dyadic shift, as a box on every row."""
+    s = critical_index(p, p).s
+    u = translate(_full(grid, box), tuple(-c for c in sc.core))
+    out = dyadic_shift(u, sc.m, amplitude=2.0 ** (-sc.m * s), strict=False)
+    return (np.arange(grid.n_points),) * 3, out.coeffs
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_extraction_same_values_as_full_phase_reference(two_profile_seq, criterion_12_seq,
                                                         threads, monkeypatch):
-    # deflation, restoration and the m = 0 unscale work on the rows their
-    # inputs occupy; the full-size scaled copies and phases they replace must
-    # give the same schedules and values, with only the sign of zeros moved, and
-    # the only full-size phases left are the final gauge's (its scale_op calls);
-    # p = 5 gives the amplitudes that p = 3 (s_p = 0) leaves at 1
-    phase, scale = profiles._phase, profiles.scale_op
-    full, gauged = [], []
+    # scaling (deflation, restoration, core alignment and the final gauge),
+    # unscaling and the tail average work on the boxes of the rows their inputs
+    # occupy; the full-size scaled copies, phases and sums they replace must
+    # give the same schedules and values, with only the sign of zeros moved,
+    # and no phase is full-size; p = 5 gives the amplitudes that p = 3
+    # (s_p = 0) leaves at 1
+    phase, full = profiles._phase, []
 
     def counted_phase(grid, core, *rows):
         out = phase(grid, core, *rows)
-        if out.size == grid.n_points**3 and not gauged:
+        if out.size == grid.n_points**3:
             full.append(core)
         return out
-
-    def gauge(*args, **kwargs):
-        gauged.append(1)
-        try:
-            return scale(*args, **kwargs)
-        finally:
-            gauged.pop()
     set_threads(threads)
     try:
         for seq, p in ((two_profile_seq, 3.0), (two_profile_seq, 5.0), (criterion_12_seq, 3.0)):
             with monkeypatch.context() as patch:
                 patch.setattr(profiles, "_phase", counted_phase)
-                patch.setattr(profiles, "scale_op", gauge)
                 got = extract_profiles(seq, j_max=3, threshold=0.01, p=p)
             with monkeypatch.context() as patch:
-                patch.setattr(profiles, "_update", _full_phase_update)
+                patch.setattr(profiles, "_scaled", _full_phase_scaled)
                 patch.setattr(profiles, "_unscale", _full_phase_unscale)
                 ref = extract_profiles(seq, j_max=3, threshold=0.01, p=p)
             assert full == []
@@ -396,20 +392,14 @@ def test_extraction_same_bytes_for_any_thread_count(two_profile_seq):
 
 # -- evolved decomposition ------------------------------------------------------
 
-def test_evolve_solves_each_profile_scale_once(grid64, monkeypatch, block_matrices):
+def test_evolve_solves_each_profile_scale_once(criterion_11_run):
     # criterion 11's set: phi1 sits at m = 0 at every index and phi2 at m = n,
     # so the call makes 4 + 1 + 4 solves and 43 block-norm matrices (26 Picard
     # residuals, 9 scales, two script norms per record); solving phi1 at every
     # index made 12 solves and 55 matrices
-    solves = []
-    monkeypatch.setattr(profiles, "solve", lambda *args: solves.append(1) or solve(*args))
-    phi1 = random_band_limited(grid64, j_lo=2, j_hi=2, seed=41, amplitude=0.6)
-    phi2 = random_band_limited(grid64, j_lo=2, j_hi=2, seed=42, amplitude=0.3)
-    scheds = [[ScaleCore(0)] * 4, [ScaleCore(n, (5, 9, 3)) for n in range(4)]]
-    ps = ProfileSet([phi1, phi2], scheds, [None] * 4)
-    records = evolve_decomposition(ps, SolverConfig(dt=0.005, n_steps=8))
+    records, solves, block_matrices = criterion_11_run
     assert [rec["n"] for rec in records] == [0, 1, 2, 3]
-    assert len(solves) == 9
+    assert solves == 9
     assert len(block_matrices) == 43
 
 
