@@ -508,10 +508,10 @@ def dyadic_shift(u: _Field, m: int, amplitude: float = 1.0,
         return u if amplitude == 1.0 else u * amplitude
     n = u.grid.n_points
     rows, kept, tgt = _lattice_box((np.arange(n),) * 3, u.coeffs, n, m)
-    valid = np.isin(np.arange(n), rows[0])  # never every row: m > 0 drops the Nyquist row
-    off = ~(valid[:, None, None] & valid[:, None] & valid)
-    if strict and np.any(np.abs(u.coeffs[..., off]) > 0):
-        raise ResolutionError(f"dyadic shift by {m} moves populated modes out of the grid")
+    if strict:  # some row is always dropped: m > 0 drops the Nyquist row
+        valid = np.isin(np.arange(n), rows[0])
+        if np.any(np.abs(u.coeffs[..., ~(valid[:, None, None] & valid[:, None] & valid)]) > 0):
+            raise ResolutionError(f"dyadic shift by {m} moves populated modes out of the grid")
     out = np.zeros_like(u.coeffs)
     out[(Ellipsis,) + np.ix_(*tgt)] = amplitude * kept
     return replace(u, coeffs=out)
