@@ -22,7 +22,6 @@ dilation of the domain; a periodized dilation wraps instead of spreading.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -373,7 +372,7 @@ def _tail_average(boxes: dict, sched: list[ScaleCore], tail: range, grid: GridSp
     """The box of the mean of the tail's unscaled residual boxes, summed in index
     order on the union of their rows and trimmed to the rows the mean occupies."""
     parts = [_unscale(sched[n], boxes[n], grid, p) for n in tail]
-    rows = tuple(functools.reduce(np.union1d, axis) for axis in zip(*(at for at, _ in parts)))
+    rows = tuple(np.unique(np.concatenate(axis)) for axis in zip(*(at for at, _ in parts)))
     acc = np.zeros(parts[0][1].shape[:-3] + tuple(map(len, rows)), dtype=complex)
     for at, vals in parts:
         acc[(Ellipsis,) + np.ix_(*map(np.searchsorted, rows, at))] += vals
