@@ -282,6 +282,21 @@ def sparse_cases():
             "zero": zero_field(grid)}
 
 
+def test_pruned_inverse_copies_a_y_pass_made_out_of_place(sparse_cases, monkeypatch):
+    # scipy runs the y pass in place on the strided view of the N/2 + 1 plane
+    # buffer; where a y pass returns a new array instead, the inverse copies
+    # it into the buffer and keeps every byte
+    u = sparse_cases["bilinear_B"]
+    want, ifftn, calls = u.physical(), scipy.fft.ifftn, []
+
+    def out_of_place(x, *args, overwrite_x=False, **kwargs):
+        calls.append(1)
+        return ifftn(np.array(x), *args, **kwargs)
+    monkeypatch.setattr(scipy.fft, "ifftn", out_of_place)
+    got = u.physical()
+    assert calls and got.tobytes() == want.tobytes()
+
+
 def _plain(c, n):
     """Real samples by the plain irfftn of the whole k_z >= 0 half."""
     return scipy.fft.irfftn(c[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
