@@ -8,7 +8,9 @@ Each line is `<threads> <output> <sha256>`.  The outputs are:
 * every file that `bnslab norms`, `solve` (with `write_trajectory`),
   `iterate`, `expand` (staged), `profiles` (with `extract = true`, and
   under the name `profiles-evolve` with `evolve = true`) and
-  `verify-estimates` write on small 32^3 configs;
+  `verify-estimates` write on small 32^3 configs, and those of
+  `generate-field` with the `taylor_green_like` kind and with the
+  `shell_bump` kind at j = 1;
 * the raw bytes of the 64^3, 17-level `block_norm_matrix` at p = 2, 3, 5;
 * the six fields of the criterion-12 sequence (64^3), made by `synthesize`
   (dyadic shifts and full-size translation phases), and the profiles,
@@ -94,6 +96,7 @@ m_sweep = -1 -1 -2 -2
 sep_sweep = 3 5 7 9
 evolve = true
 """
+KIND = "[grid]\nn_points = 32\n[field]\nkind = "
 COMMANDS = {  # digest name: (command, config, seed)
     "norms": ("norms", FIELD + "[norms]\nn_steps = 8\n", 4),
     "solve": ("solve", FIELD + "[output]\nwrite_trajectory = true\n", 4),
@@ -103,6 +106,8 @@ COMMANDS = {  # digest name: (command, config, seed)
     "verify-estimates": ("verify-estimates",
                          "[grid]\nn_points = 32\n[verify]\nn_fields = 2\n", 3),
     "profiles-evolve": ("profiles", EVOLVE, 21),
+    "generate-field-taylor-green": ("generate-field", KIND + "taylor_green_like\n", 5),
+    "generate-field-shell-bump": ("generate-field", KIND + "shell_bump\nj = 1\n", 5),
 }
 
 

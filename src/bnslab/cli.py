@@ -2,9 +2,10 @@
 [--threads N] [--out DIR]`.
 
 Commands: norms, solve, expand, iterate, profiles, verify-estimates,
-generate-field.  Configuration is INI-style key/value sections; flags
-override config keys.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure (required convergence not reached).
+generate-field.  Configuration is INI-style key/value sections, every
+value parsed once before any command runs; flags override config keys.
+Exit codes: 0 success, 2 configuration error (found before the first
+numerical step), 3 numerical failure (required convergence not reached).
 """
 
 from __future__ import annotations
@@ -59,23 +60,20 @@ def main(argv=None) -> int:
             return 2
     set_threads(threads)
 
-    cfg = _Config()
+    ini = configparser.ConfigParser()
     try:
         config_text = Path(args.config).read_text()
-        cfg.read_string(config_text)
-    except (OSError, configparser.Error) as exc:
+        ini.read_string(config_text)
+        cfg = _settings(ini)
+    except (OSError, configparser.Error, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out or cfg.get("output", "dir", fallback="bnslab-out"))
-    handler = _HANDLERS[args.command]
+    out_dir = Path(args.out or cfg["output"].get("dir", "bnslab-out"))
+    seed = args.seed if args.seed is not None else cfg["field"].get("seed", 0)
     try:
-        _check_keys(cfg)
-        seed = args.seed if args.seed is not None else cfg.getint(
-            "field", "seed", fallback=0)
-        extra = handler(cfg, seed, out_dir)
-    except (ConfigError, GridError, ResolutionError, ValueError,
-            configparser.Error) as exc:
+        extra = _HANDLERS[args.command](cfg, seed, out_dir)
+    except (ConfigError, GridError, ResolutionError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (InversionError, ArithmeticError) as exc:
@@ -90,61 +88,68 @@ def main(argv=None) -> int:
     return 0
 
 
-class _Config(configparser.ConfigParser):
-    """INI parser whose typed reads name [section] key when a value does not parse."""
-
-    def _get_conv(self, section, option, conv, **kwargs):
-        try:
-            return super()._get_conv(section, option, conv, **kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {option}: {exc}") from None
-
-
 def _error_report(out_dir: Path, message: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "error.csv").write_text(f"error\n{message}\n")
 
 
-_FIELD_KEYS = {"path", "kind", "amplitude", "j_lo", "j_hi", "j"}
-# The keys each section is read for; any other section or key is a config error.
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split()]
+
+
+_FIELD_KEYS = {"path": str, "kind": str, "amplitude": float, "j_lo": int, "j_hi": int,
+               "j": int}
+# The keys each section is read for, each with the type its value is parsed as (bool as a
+# configparser boolean); any other section or key is a config error.
 _KEYS = {
-    "grid": {"n_points", "period"}, "output": {"dir", "write_trajectory"},
-    "field": _FIELD_KEYS | {"seed"}, "profile1": _FIELD_KEYS, "profile2": _FIELD_KEYS,
-    "solver": {"dt", "n_steps", "picard_tol", "max_picard_iters", "monitor_p",
-               "require_convergence"},
-    "norms": {"p", "q", "t_final", "n_steps"}, "iterate": {"j_steps"},
-    "expand": {"mode", "k", "n_terms", "p", "residual_tol"}, "verify": {"n_fields"},
-    "profiles": {"m_sweep", "sep_sweep", "p", "evolve", "extract", "threshold"},
+    "grid": {"n_points": int, "period": float},
+    "output": {"dir": str, "write_trajectory": bool},
+    "field": _FIELD_KEYS | {"seed": int}, "profile1": _FIELD_KEYS, "profile2": _FIELD_KEYS,
+    "solver": {"dt": float, "n_steps": int, "picard_tol": float, "max_picard_iters": int,
+               "monitor_p": float, "require_convergence": bool},
+    "norms": {"p": float, "q": float, "t_final": float, "n_steps": int},
+    "iterate": {"j_steps": int}, "verify": {"n_fields": int},
+    "expand": {"mode": str, "k": int, "n_terms": int, "p": float, "residual_tol": float},
+    "profiles": {"m_sweep": _int_list, "sep_sweep": _int_list, "p": float,
+                 "evolve": bool, "extract": bool, "threshold": float},
 }
 
 
-def _check_keys(cfg) -> None:
-    """Reject any section or key outside `_KEYS`, naming the nearest known one."""
-    if cfg.has_option("solver", "dealias"):
+def _settings(ini: configparser.ConfigParser) -> dict[str, dict]:
+    """{section: {key: value}} for every `_KEYS` section, each value the file sets parsed
+    once as its key's type, after rejecting any other section or key (naming the nearest)."""
+    if ini.has_option("solver", "dealias"):
         raise ConfigError("[solver] dealias is not a setting: products are "
                           "always dealiased")
-    names = [(s, _KEYS, "section") for s in cfg.sections()]
+    names = [(s, _KEYS, "section") for s in ini.sections()]
     names += [(k, _KEYS.get(s, ()), f"key in [{s}]")
-              for s in cfg.sections() for k in cfg[s]]
+              for s in ini.sections() for k in ini[s]]
     for name, known, what in names:
         if name not in known:
             near = difflib.get_close_matches(name, known, n=1)
             raise ConfigError(f"unknown {what}: {name!r}"
                               + (f"; did you mean {near[0]!r}?" if near else ""))
+    cfg = {section: {} for section in _KEYS}
+    for section in ini.sections():
+        for key, text in ini[section].items():
+            kind = _KEYS[section][key]
+            try:
+                cfg[section][key] = ini.getboolean(section, key) if kind is bool else kind(text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    return cfg
 
 
 def _grid(cfg) -> GridSpec:
-    if not cfg.has_section("grid"):
-        raise ConfigError("missing [grid] section")
-    return GridSpec(
-        n_points=cfg.getint("grid", "n_points"),
-        period=cfg.getfloat("grid", "period", fallback=2.0 * math.pi),
-    )
+    if "n_points" not in cfg["grid"]:
+        raise ConfigError("missing [grid] n_points")
+    return GridSpec(n_points=cfg["grid"]["n_points"],
+                    period=cfg["grid"].get("period", 2.0 * math.pi))
 
 
 def _field(cfg, grid: GridSpec, seed: int, section: str = "field") -> SpectralField:
-    if cfg.has_option(section, "path"):
-        path = cfg.get(section, "path")
+    if "path" in cfg[section]:
+        path = cfg[section]["path"]
         u = read_field(path)
         if u.grid != grid:
             raise ConfigError(f"{path}: snapshot grid {u.grid} differs from the "
@@ -154,48 +159,38 @@ def _field(cfg, grid: GridSpec, seed: int, section: str = "field") -> SpectralFi
             raise ConfigError(f"{path}: the field is not divergence-free "
                               f"(defect {defect:.3g})")
         return u
-    kind = cfg.get(section, "kind", fallback="random_bandlimited")
-    amplitude = cfg.getfloat(section, "amplitude", fallback=1.0)
+    kind = cfg[section].get("kind", "random_bandlimited")
+    amplitude = cfg[section].get("amplitude", 1.0)
     if not math.isfinite(amplitude):
         raise ConfigError(f"[{section}] amplitude must be finite, got {amplitude}")
     if kind == "random_bandlimited":
         return random_band_limited(
             grid, seed=seed,
-            j_lo=cfg.getint(section, "j_lo", fallback=grid.j_min),
-            j_hi=cfg.getint(section, "j_hi", fallback=max(grid.j_min, grid.j_max - 1)),
+            j_lo=cfg[section].get("j_lo", grid.j_min),
+            j_hi=cfg[section].get("j_hi", max(grid.j_min, grid.j_max - 1)),
             amplitude=amplitude, solenoidal=True)
     if kind == "taylor_green_like":
-        return taylor_green_like(grid, amplitude=amplitude,
-                                 j=cfg.getint(section, "j", fallback=1))
+        return taylor_green_like(grid, amplitude=amplitude, j=cfg[section].get("j", 1))
     if kind == "shell_bump":
-        return shell_bump(grid, j=cfg.getint(section, "j", fallback=1),
-                          seed=seed, amplitude=amplitude)
+        return shell_bump(grid, j=cfg[section].get("j", 1), seed=seed, amplitude=amplitude)
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
 def _solver_config(cfg) -> SolverConfig:
     return SolverConfig(
-        dt=cfg.getfloat("solver", "dt", fallback=0.005),
-        n_steps=cfg.getint("solver", "n_steps", fallback=32),
-        picard_tol=cfg.getfloat("solver", "picard_tol", fallback=1e-8),
-        max_picard_iters=cfg.getint("solver", "max_picard_iters", fallback=40),
+        dt=cfg["solver"].get("dt", 0.005),
+        n_steps=cfg["solver"].get("n_steps", 32),
+        picard_tol=cfg["solver"].get("picard_tol", 1e-8),
+        max_picard_iters=cfg["solver"].get("max_picard_iters", 40),
     )
 
 
 def _exponent(cfg, section: str, key: str, fallback: float, lo: float = 1.0) -> float:
     """The integrability exponent [section] key: finite and at least lo."""
-    p = cfg.getfloat(section, key, fallback=fallback)
+    p = cfg[section].get(key, fallback)
     if not (math.isfinite(p) and p >= lo):
         raise ConfigError(f"[{section}] {key}={p} must be finite and >= {lo:g}")
     return p
-
-
-def _integers(cfg, key: str, fallback: str) -> list[int]:
-    text = cfg.get("profiles", key, fallback=fallback)
-    try:
-        return [int(v) for v in text.split()]
-    except ValueError:
-        raise ConfigError(f"[profiles] {key} must be integers, got {text!r}") from None
 
 
 def _write_report(out_dir: Path, text: str) -> None:
@@ -221,8 +216,8 @@ def _cmd_norms(cfg, seed, out_dir) -> dict:
     q = _exponent(cfg, "norms", "q", 6.0)
     if q <= 3:
         raise ConfigError(f"[norms] q={q} must be > 3 for the Kato norms")
-    t_final = cfg.getfloat("norms", "t_final", fallback=0.5)
-    n_steps = cfg.getint("norms", "n_steps", fallback=32)
+    t_final = cfg["norms"].get("t_final", 0.5)
+    n_steps = cfg["norms"].get("n_steps", 32)
     if not (math.isfinite(t_final) and t_final > 0):
         raise ConfigError(f"[norms] t_final must be finite and positive, got {t_final}")
     if n_steps < 1:
@@ -254,11 +249,11 @@ def _cmd_solve(cfg, seed, out_dir) -> dict:
     p = _exponent(cfg, "solver", "monitor_p", 3.0)
     traj, report = picard_solve(u0, scfg, critical_index(p, p))
     _write_report(out_dir, report.rows())
-    if cfg.getboolean("output", "write_trajectory", fallback=False):
+    if cfg["output"].get("write_trajectory", False):
         write_trajectory(out_dir / "trajectory", traj)
     extra = {"classification": report.classification,
              "final_besov": float(report.besov_norms[-1])}
-    required = cfg.getboolean("solver", "require_convergence", fallback=True)
+    required = cfg["solver"].get("require_convergence", True)
     if required and report.classification == "picard_diverged":
         extra["_numerical_failure"] = True
     return extra
@@ -268,14 +263,17 @@ def _cmd_expand(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     u0 = _field(cfg, grid, seed)
     scfg = _solver_config(cfg)
-    mode = cfg.get("expand", "mode", fallback="staged")
+    mode = cfg["expand"].get("mode", "staged")
+    tol = cfg["expand"].get("residual_tol", math.inf)
+    if not tol >= 0:
+        raise ConfigError(f"[expand] residual_tol must be >= 0, got {tol}")
     if mode == "staged":
-        k = cfg.getint("expand", "k", fallback=2)
+        k = cfg["expand"].get("k", 2)
         if k < 0:
             raise ConfigError(f"[expand] k must be >= 0, got {k}")
         result = expand_solution(u0, k, scfg)
     elif mode == "duhamel":
-        n_terms = cfg.getint("expand", "n_terms", fallback=2)
+        n_terms = cfg["expand"].get("n_terms", 2)
         p = _exponent(cfg, "expand", "p", 10.0)
         _check_duhamel_order(n_terms, p)
         traj, _, converged = solve(u0, scfg, p)
@@ -285,7 +283,6 @@ def _cmd_expand(cfg, seed, out_dir) -> dict:
     else:
         raise ConfigError(f"unknown expand mode {mode!r}")
     _write_report(out_dir, result.manifest_rows())
-    tol = cfg.getfloat("expand", "residual_tol", fallback=math.inf)
     extra = {"residual": result.residual, "mode": mode}
     if result.residual > tol:
         extra["_numerical_failure"] = True
@@ -296,7 +293,7 @@ def _cmd_iterate(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     u0 = _field(cfg, grid, seed)
     scfg = _solver_config(cfg)
-    j_steps = cfg.getint("iterate", "j_steps", fallback=4)
+    j_steps = cfg["iterate"].get("j_steps", 4)
     if j_steps < 1:
         raise ConfigError(f"[iterate] j_steps must be >= 1, got {j_steps}")
     traj, _, converged = solve(u0, scfg)
@@ -313,11 +310,14 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     phi1 = _field(cfg, grid, seed, section="profile1")
     phi2 = _field(cfg, grid, seed + 1, section="profile2")
-    ms = _integers(cfg, "m_sweep", "-1 -2 -3")
-    seps = _integers(cfg, "sep_sweep", " ".join("0" for _ in ms))
+    ms = cfg["profiles"].get("m_sweep", [-1, -2, -3])
+    seps = cfg["profiles"].get("sep_sweep", [0] * len(ms))
     if len(seps) != len(ms):
         raise ConfigError("m_sweep and sep_sweep must have equal length")
     p = _exponent(cfg, "profiles", "p", 3.0, lo=2.0)  # the cross terms need 1 <= r < p
+    threshold = cfg["profiles"].get("threshold", 0.02)
+    if not 0 <= threshold < math.inf:
+        raise ConfigError(f"[profiles] threshold must be finite and >= 0, got {threshold}")
     for m in ms:  # profile2 at scale 2^m is a strict dyadic shift by -m
         try:
             dyadic_shift(phi2, -m)
@@ -328,7 +328,7 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
     ps = ProfileSet(profiles=(phi1, phi2), schedules=((ScaleCore(0),) * len(ms), scheds2),
                     remainders=None)
     r_norms = [""] * len(ms)
-    if cfg.getboolean("profiles", "evolve", fallback=False):
+    if cfg["profiles"].get("evolve", False):
         r_norms = [rec["r_norm"] for rec in evolve_decomposition(ps, _solver_config(cfg), p)]
     rows = ["n,J,epsilon,cross_term_max,r_norm"]
     for n, r_norm in enumerate(r_norms):
@@ -342,10 +342,9 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
     write_field(out_dir / "profile_0.bnsf", phi1)
     write_field(out_dir / "profile_1.bnsf", phi2)
     extra = {"n_indices": len(ms)}
-    if cfg.getboolean("profiles", "extract", fallback=False):
+    if cfg["profiles"].get("extract", False):
         seq = [synthesize(ps, n, 2, p=p) for n in range(len(ms))]
-        rec = extract_profiles(seq, threshold=cfg.getfloat(
-            "profiles", "threshold", fallback=0.02), p=p)
+        rec = extract_profiles(seq, threshold=threshold, p=p)
         extra["extracted"] = rec.n_profiles()
         extra["extracted_norms"] = [besov_norm(f, idx) for f in rec.profiles]
     return extra
@@ -353,7 +352,7 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
 
 def _cmd_verify_estimates(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
-    n_fields = cfg.getint("verify", "n_fields", fallback=6)
+    n_fields = cfg["verify"].get("n_fields", 6)
     rows = ["check_id,s1,t1,p,p2,lhs,rhs,ratio"]
     rng_seeds = range(seed, seed + n_fields)
     j_hi = max(grid.j_min, grid.j_max - 1)

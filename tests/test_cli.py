@@ -45,14 +45,20 @@ dt = 0.01
 n_steps = 8
 """
 
+KIND = "[grid]\nn_points = 32\n[field]\nkind = "
 
-def test_generate_field_deterministic(tmp_path):
-    code1, out1 = run(tmp_path, "generate-field", GEN, "--seed", "9")
-    code2, out2 = run(tmp_path, "generate-field__b", GEN, "--seed", "9")
+
+@pytest.mark.parametrize("body", [GEN, KIND + "taylor_green_like\n",
+                                  KIND + "shell_bump\nj = 1\n"],
+                         ids=["random_bandlimited", "taylor_green_like", "shell_bump"])
+def test_generate_field_deterministic(tmp_path, body):
+    code1, out1 = run(tmp_path, "generate-field", body, "--seed", "9")
+    code2, out2 = run(tmp_path, "generate-field__b", body, "--seed", "9")
     assert code1 == 0 and code2 == 0
     b1 = (out1 / "field.bnsf").read_bytes()
     b2 = (out2 / "field.bnsf").read_bytes()
     assert b1 == b2
+    assert json.loads((out1 / "manifest.json").read_text())["divergence_defect"] < 1e-10
 
 
 def test_generate_field_seed_changes_output(tmp_path):
@@ -163,8 +169,11 @@ def test_exit_2_on_bad_step_count(tmp_path, setting):
     ("solve", SOLVE + "monitor_p = inf\n", "[solver] monitor_p"),
     ("expand", SOLVE + "[expand]\nmode = duhamel\np = nan\n", "[expand] p"),
     ("profiles", GEN + "[profiles]\np = nan\n", "[profiles] p"),
+    # every value the file sets is parsed, also in a section the command does not read
+    ("norms", GEN + "[solver]\ndt = fast\n", "[solver] dt"),
 ], ids=["picard_tol", "dt", "amplitude", "period", "n_steps", "t_final_inf",
-        "t_final_0", "p", "norms_q", "monitor_p", "expand_p", "profiles_p"])
+        "t_final_0", "p", "norms_q", "monitor_p", "expand_p", "profiles_p",
+        "unread_section"])
 def test_exit_2_on_bad_number(tmp_path, capsys, command, body, key):
     code, _ = run(tmp_path, command, body, "--seed", "4")
     assert code == 2
@@ -256,12 +265,15 @@ def test_exit_2_on_bad_thread_env(tmp_path, monkeypatch, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_exit_3_on_divergence(tmp_path):
+@pytest.mark.parametrize("command, section", [
+    ("solve", ""), ("iterate", ""), ("expand", "[expand]\nmode = duhamel\n"),
+], ids=["solve", "iterate", "expand"])
+def test_exit_3_on_divergence(tmp_path, command, section):
     body = SOLVE.replace("amplitude = 0.3", "amplitude = 80.0").replace(
-        "n_steps = 8", "n_steps = 8\nmax_picard_iters = 6")
-    code, out = run(tmp_path, "solve", body, "--seed", "3")
+        "n_steps = 8", "n_steps = 8\nmax_picard_iters = 6") + section
+    code, out = run(tmp_path, command, body, "--seed", "3")
     assert code == 3
-    assert (out / "error.csv").exists()
+    assert (out / "error.csv").exists() and (out / "manifest.json").exists()
 
 
 def test_exit_3_on_overflow(tmp_path, capsys):
@@ -277,9 +289,10 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
-def test_expand_command(tmp_path, no_monitor):
-    body = SOLVE.replace("amplitude = 0.3", "amplitude = 0.05") + (
-        "[expand]\nmode = duhamel\nn_terms = 2\n")
+@pytest.mark.parametrize("setting", ["mode = duhamel\nn_terms = 2", "mode = staged\nk = 1"],
+                         ids=["duhamel", "staged"])
+def test_expand_command(tmp_path, no_monitor, setting):
+    body = SOLVE.replace("amplitude = 0.3", "amplitude = 0.05") + f"[expand]\n{setting}\n"
     code, out = run(tmp_path, "expand", body, "--seed", "4")
     assert code == 0
     report = (out / "report.csv").read_text()
@@ -415,15 +428,34 @@ def test_profiles_command_evolves_the_set(tmp_path):
      "[grid] n_points", "solve"),
     ("iterate", SOLVE.replace("dt = 0.01", "dt = fast") + "[iterate]\nj_steps = 2\n",
      "[solver] dt", "solve"),
+    # a value that does not parse fails before the numerics, even one read after them
+    ("solve", SOLVE + "[output]\nwrite_trajectory = perhaps\n", "[output] write_trajectory",
+     "picard_solve"),
+    ("solve", SOLVE + "require_convergence = maybe\n", "[solver] require_convergence",
+     "picard_solve"),
+    ("expand", SOLVE + "[expand]\nresidual_tol = tiny\n", "[expand] residual_tol",
+     "expand_solution"),
+    ("profiles", PROFILES.replace("extract = true", "extract = maybe"), "[profiles] extract",
+     "pythagorean_gap"),
+    ("profiles", PROFILES.replace("threshold = 0.01", "threshold = small"),
+     "[profiles] threshold", "pythagorean_gap"),
+    # no residual exceeds a NaN tolerance, and no extraction stops at a NaN threshold
+    ("expand", SOLVE + "[expand]\nresidual_tol = nan\n", "[expand] residual_tol",
+     "expand_solution"),
+    ("profiles", PROFILES.replace("threshold = 0.01", "threshold = nan"),
+     "[profiles] threshold", "pythagorean_gap"),
 ], ids=["iterate_j_steps_0", "iterate_j_steps_neg", "norms_q", "expand_k", "profiles_p",
         "profiles_m_sweep_nyquist", "profiles_m_sweep_lattice", "profiles_m_sweep_int",
         "profiles_sep_sweep_int", "profiles_m_sweep_64", "iterate_j_steps_float",
-        "grid_n_points_text", "solver_dt_text"])
+        "grid_n_points_text", "solver_dt_text", "output_write_trajectory_text",
+        "solver_require_convergence_text", "expand_residual_tol_text",
+        "profiles_extract_text", "profiles_threshold_text", "expand_residual_tol_nan",
+        "profiles_threshold_nan"])
 def test_exit_2_on_bad_setting_before_numerics(tmp_path, monkeypatch, capsys, command,
                                                body, key, first):
     # a value the numerics would reject late, or not at all, is a config
-    # error that names its key, found where it is read: the first numerical
-    # step of the command must not run
+    # error that names its key, found before the first numerical step of the
+    # command, which must not run, and before anything is written
     def fail(*args, **kwargs):
         raise AssertionError(f"{first} called")
     monkeypatch.setattr(cli, first, fail)
@@ -431,7 +463,7 @@ def test_exit_2_on_bad_setting_before_numerics(tmp_path, monkeypatch, capsys, co
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
-    assert not (out / "error.csv").exists()
+    assert not out.exists()
 
 
 def test_verify_estimates_command(tmp_path):

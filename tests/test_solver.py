@@ -245,6 +245,15 @@ def test_monitor_heat_decays(grid):
     assert rep.besov_norms[-1] < rep.besov_norms[0]
 
 
+@pytest.mark.parametrize("kind, expected", [("heat", "decaying"), ("constant", "growing")])
+def test_monitor_classification(grid, kind, expected):
+    # a trajectory whose Besov norm does not fall is "growing", whatever its size
+    u0 = random_band_limited(grid, j_lo=0, j_hi=2, seed=50, amplitude=0.05)
+    times = np.linspace(0.0, 0.08, 9)
+    traj = heat_trajectory(u0, times) if kind == "heat" else constant_trajectory(u0, times)
+    assert monitor(traj, critical_index(3.0, 3.0)).classification == expected
+
+
 @pytest.mark.parametrize("kind", ["heat", "picard"])
 def test_running_script_is_script_norm_on_prefix(grid, kind):
     # the running norm in the report is the script norm on [0, t_i]
