@@ -2,10 +2,11 @@
 [--threads N] [--out DIR]`.
 
 Commands: norms, solve, expand, iterate, profiles, verify-estimates,
-generate-field.  Configuration is INI-style key/value sections, every
-value parsed once before any command runs; flags override config keys.
-Exit codes: 0 success, 2 configuration error (found before the first
-numerical step), 3 numerical failure (required convergence not reached).
+generate-field.  Configuration is INI-style key/value sections; flags override
+config keys.  Exit codes: 0 success, 2 configuration error (every key's type
+and own range checked before any command runs, cross-key checks before the
+first numerical step), 3 numerical failure (a required convergence not reached,
+or a float overflow), which writes error.csv, naming the cause, and manifest.json.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import configparser
 import difflib
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -40,25 +40,14 @@ from .expansion import (_check_duhamel_order, duhamel_expand, expand_solution,
                         simple_iteration)
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="bnslab",
-                                     description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="bnslab", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=0)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get("BNSLAB_THREADS", "") or "0"
-        try:
-            threads = int(raw)
-        except ValueError:
-            print(f"config error: BNSLAB_THREADS must be an integer, got {raw!r}",
-                  file=sys.stderr)
-            return 2
-    set_threads(threads)
+    set_threads(args.threads)
 
     ini = configparser.ConfigParser()
     try:
@@ -76,48 +65,70 @@ def main(argv=None) -> int:
     except (ConfigError, GridError, ResolutionError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InversionError, ArithmeticError) as exc:
-        _error_report(out_dir, str(exc))
+    except (_Unconverged, InversionError, ArithmeticError) as exc:
+        write_manifest(out_dir, args.command, config_text, seed, getattr(exc, "extra", None))
+        (out_dir / "error.csv").write_text(f"error\n{exc}\n")
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    if extra.pop("_numerical_failure", None):
-        _error_report(out_dir, extra.get("classification", "diverged"))
-        write_manifest(out_dir, args.command, config_text, seed, extra)
         return 3
     write_manifest(out_dir, args.command, config_text, seed, extra)
     return 0
 
 
-def _error_report(out_dir: Path, message: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "error.csv").write_text(f"error\n{message}\n")
+class _Unconverged(RuntimeError):
+    """A convergence the run requires was not reached; `extra` holds the manifest's fields."""
+
+    def __init__(self, cause: str, extra: dict):
+        super().__init__(cause)
+        self.extra = extra
 
 
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split()]
 
 
-_FIELD_KEYS = {"path": str, "kind": str, "amplitude": float, "j_lo": int, "j_hi": int,
-               "j": int}
-# The keys each section is read for, each with the type its value is parsed as (bool as a
-# configparser boolean); any other section or key is a config error.
+def _ranged(kind, ok, rule: str):
+    """A key's parser: its text read as `kind`, rejected unless ok(value) as `rule` says."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+        return value
+    return parse
+
+
+_EXPONENT = _ranged(float, lambda p: 1 <= p < math.inf, "finite and >= 1")
+_COUNT = _ranged(int, lambda n: n >= 1, ">= 1")
+_FIELD_KINDS = ("random_bandlimited", "taylor_green_like", "shell_bump")
+_FIELD_KEYS = {"path": str, "j_lo": int, "j_hi": int, "j": int,
+               "kind": _ranged(str, lambda k: k in _FIELD_KINDS, " or ".join(_FIELD_KINDS)),
+               "amplitude": _ranged(float, math.isfinite, "finite")}
+# The keys each section is read for, each with its value's parser (bool: a configparser
+# boolean), which rejects a value outside the key's own range; any other is a config error.
 _KEYS = {
     "grid": {"n_points": int, "period": float},
     "output": {"dir": str, "write_trajectory": bool},
     "field": _FIELD_KEYS | {"seed": int}, "profile1": _FIELD_KEYS, "profile2": _FIELD_KEYS,
     "solver": {"dt": float, "n_steps": int, "picard_tol": float, "max_picard_iters": int,
-               "monitor_p": float, "require_convergence": bool},
-    "norms": {"p": float, "q": float, "t_final": float, "n_steps": int},
-    "iterate": {"j_steps": int}, "verify": {"n_fields": int},
-    "expand": {"mode": str, "k": int, "n_terms": int, "p": float, "residual_tol": float},
-    "profiles": {"m_sweep": _int_list, "sep_sweep": _int_list, "p": float,
-                 "evolve": bool, "extract": bool, "threshold": float},
+               "monitor_p": _EXPONENT, "require_convergence": bool},
+    "norms": {"p": _EXPONENT, "n_steps": _COUNT,
+              "q": _ranged(float, lambda q: 3 < q < math.inf, "finite and > 3 (Kato norms)"),
+              "t_final": _ranged(float, lambda t: 0 < t < math.inf, "finite and > 0")},
+    "iterate": {"j_steps": _COUNT}, "verify": {"n_fields": _COUNT},
+    "expand": {"mode": _ranged(str, lambda mode: mode in ("staged", "duhamel"),
+                               "staged or duhamel"),
+               "k": _ranged(int, lambda k: k >= 0, ">= 0"), "n_terms": int, "p": _EXPONENT,
+               "residual_tol": _ranged(float, lambda t: t >= 0, ">= 0 (inf for no limit)")},
+    "profiles": {"m_sweep": _ranged(_int_list, bool, "a non-empty list of integers"),
+                 "sep_sweep": _int_list, "evolve": bool, "extract": bool,
+                 "p": _ranged(float, lambda p: 2 <= p < math.inf,
+                              "finite and >= 2 (the cross terms take 1 <= r < p)"),
+                 "threshold": _ranged(float, lambda t: 0 <= t < math.inf, "finite and >= 0")},
 }
 
 
 def _settings(ini: configparser.ConfigParser) -> dict[str, dict]:
     """{section: {key: value}} for every `_KEYS` section, each value the file sets parsed
-    once as its key's type, after rejecting any other section or key (naming the nearest)."""
+    once by its key's parser, after rejecting any other section or key (naming the nearest)."""
     if ini.has_option("solver", "dealias"):
         raise ConfigError("[solver] dealias is not a setting: products are "
                           "always dealiased")
@@ -132,11 +143,11 @@ def _settings(ini: configparser.ConfigParser) -> dict[str, dict]:
     cfg = {section: {} for section in _KEYS}
     for section in ini.sections():
         for key, text in ini[section].items():
-            kind = _KEYS[section][key]
+            parse = _KEYS[section][key]
             try:
-                cfg[section][key] = ini.getboolean(section, key) if kind is bool else kind(text)
+                cfg[section][key] = ini.getboolean(section, key) if parse is bool else parse(text)
             except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from None
+                raise ConfigError(f"[{section}] {key}={text}: {exc}") from None
     return cfg
 
 
@@ -161,19 +172,18 @@ def _field(cfg, grid: GridSpec, seed: int, section: str = "field") -> SpectralFi
         return u
     kind = cfg[section].get("kind", "random_bandlimited")
     amplitude = cfg[section].get("amplitude", 1.0)
-    if not math.isfinite(amplitude):
-        raise ConfigError(f"[{section}] amplitude must be finite, got {amplitude}")
-    if kind == "random_bandlimited":
+    try:
+        if kind == "taylor_green_like":
+            return taylor_green_like(grid, amplitude=amplitude, j=cfg[section].get("j", 1))
+        if kind == "shell_bump":
+            return shell_bump(grid, j=cfg[section].get("j", 1), seed=seed, amplitude=amplitude)
         return random_band_limited(
             grid, seed=seed,
             j_lo=cfg[section].get("j_lo", grid.j_min),
             j_hi=cfg[section].get("j_hi", max(grid.j_min, grid.j_max - 1)),
             amplitude=amplitude, solenoidal=True)
-    if kind == "taylor_green_like":
-        return taylor_green_like(grid, amplitude=amplitude, j=cfg[section].get("j", 1))
-    if kind == "shell_bump":
-        return shell_bump(grid, j=cfg[section].get("j", 1), seed=seed, amplitude=amplitude)
-    raise ConfigError(f"unknown field kind {kind!r}")
+    except GridError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def _solver_config(cfg) -> SolverConfig:
@@ -183,14 +193,6 @@ def _solver_config(cfg) -> SolverConfig:
         picard_tol=cfg["solver"].get("picard_tol", 1e-8),
         max_picard_iters=cfg["solver"].get("max_picard_iters", 40),
     )
-
-
-def _exponent(cfg, section: str, key: str, fallback: float, lo: float = 1.0) -> float:
-    """The integrability exponent [section] key: finite and at least lo."""
-    p = cfg[section].get(key, fallback)
-    if not (math.isfinite(p) and p >= lo):
-        raise ConfigError(f"[{section}] {key}={p} must be finite and >= {lo:g}")
-    return p
 
 
 def _write_report(out_dir: Path, text: str) -> None:
@@ -212,18 +214,11 @@ def _cmd_generate_field(cfg, seed, out_dir) -> dict:
 def _cmd_norms(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     u = _field(cfg, grid, seed)
-    p = _exponent(cfg, "norms", "p", 3.0)
-    q = _exponent(cfg, "norms", "q", 6.0)
-    if q <= 3:
-        raise ConfigError(f"[norms] q={q} must be > 3 for the Kato norms")
+    p = cfg["norms"].get("p", 3.0)
+    q = cfg["norms"].get("q", 6.0)
     t_final = cfg["norms"].get("t_final", 0.5)
     n_steps = cfg["norms"].get("n_steps", 32)
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ConfigError(f"[norms] t_final must be finite and positive, got {t_final}")
-    if n_steps < 1:
-        raise ConfigError(f"[norms] n_steps must be >= 1, got {n_steps}")
-    times = np.linspace(0.0, t_final, n_steps + 1)
-    traj = heat_trajectory(u, times)
+    traj = heat_trajectory(u, np.linspace(0.0, t_final, n_steps + 1))
     idx, kato_idx = critical_index(p, p), critical_index(q, q)
     rows = ["norm_kind,a,b,s,p,q,t1,t2,value",
             f"besov,,,{idx.s},{p},{p},0,0,{besov_norm(u, idx)}"]
@@ -246,7 +241,7 @@ def _cmd_solve(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     u0 = _field(cfg, grid, seed)
     scfg = _solver_config(cfg)
-    p = _exponent(cfg, "solver", "monitor_p", 3.0)
+    p = cfg["solver"].get("monitor_p", 3.0)
     traj, report = picard_solve(u0, scfg, critical_index(p, p))
     _write_report(out_dir, report.rows())
     if cfg["output"].get("write_trajectory", False):
@@ -255,7 +250,7 @@ def _cmd_solve(cfg, seed, out_dir) -> dict:
              "final_besov": float(report.besov_norms[-1])}
     required = cfg["solver"].get("require_convergence", True)
     if required and report.classification == "picard_diverged":
-        extra["_numerical_failure"] = True
+        raise _Unconverged("picard_diverged", extra)
     return extra
 
 
@@ -265,27 +260,20 @@ def _cmd_expand(cfg, seed, out_dir) -> dict:
     scfg = _solver_config(cfg)
     mode = cfg["expand"].get("mode", "staged")
     tol = cfg["expand"].get("residual_tol", math.inf)
-    if not tol >= 0:
-        raise ConfigError(f"[expand] residual_tol must be >= 0, got {tol}")
     if mode == "staged":
-        k = cfg["expand"].get("k", 2)
-        if k < 0:
-            raise ConfigError(f"[expand] k must be >= 0, got {k}")
-        result = expand_solution(u0, k, scfg)
-    elif mode == "duhamel":
+        result = expand_solution(u0, cfg["expand"].get("k", 2), scfg)
+    else:
         n_terms = cfg["expand"].get("n_terms", 2)
-        p = _exponent(cfg, "expand", "p", 10.0)
+        p = cfg["expand"].get("p", 10.0)
         _check_duhamel_order(n_terms, p)
         traj, _, converged = solve(u0, scfg, p)
         if not converged:
-            return {"_numerical_failure": True, "classification": "picard_diverged"}
+            raise _Unconverged("picard_diverged", {"classification": "picard_diverged"})
         result = duhamel_expand(traj, u0, n_terms, p=p)
-    else:
-        raise ConfigError(f"unknown expand mode {mode!r}")
     _write_report(out_dir, result.manifest_rows())
     extra = {"residual": result.residual, "mode": mode}
     if result.residual > tol:
-        extra["_numerical_failure"] = True
+        raise _Unconverged(f"residual {result.residual} > [expand] residual_tol {tol}", extra)
     return extra
 
 
@@ -293,13 +281,10 @@ def _cmd_iterate(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     u0 = _field(cfg, grid, seed)
     scfg = _solver_config(cfg)
-    j_steps = cfg["iterate"].get("j_steps", 4)
-    if j_steps < 1:
-        raise ConfigError(f"[iterate] j_steps must be >= 1, got {j_steps}")
     traj, _, converged = solve(u0, scfg)
     if not converged:
-        return {"_numerical_failure": True, "classification": "picard_diverged"}
-    records = simple_iteration(traj, u0, j_steps)
+        raise _Unconverged("picard_diverged", {"classification": "picard_diverged"})
+    records = simple_iteration(traj, u0, cfg["iterate"].get("j_steps", 4))
     rows = ["j,defect,v_sup_l3,w_l3"]
     rows += [f"{r['j']},{r['defect']},{r['v_sup_l3']},{r['w_l3']}" for r in records]
     _write_report(out_dir, "\n".join(rows))
@@ -314,10 +299,7 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
     seps = cfg["profiles"].get("sep_sweep", [0] * len(ms))
     if len(seps) != len(ms):
         raise ConfigError("m_sweep and sep_sweep must have equal length")
-    p = _exponent(cfg, "profiles", "p", 3.0, lo=2.0)  # the cross terms need 1 <= r < p
-    threshold = cfg["profiles"].get("threshold", 0.02)
-    if not 0 <= threshold < math.inf:
-        raise ConfigError(f"[profiles] threshold must be finite and >= 0, got {threshold}")
+    p = cfg["profiles"].get("p", 3.0)
     for m in ms:  # profile2 at scale 2^m is a strict dyadic shift by -m
         try:
             dyadic_shift(phi2, -m)
@@ -344,7 +326,7 @@ def _cmd_profiles(cfg, seed, out_dir) -> dict:
     extra = {"n_indices": len(ms)}
     if cfg["profiles"].get("extract", False):
         seq = [synthesize(ps, n, 2, p=p) for n in range(len(ms))]
-        rec = extract_profiles(seq, threshold=threshold, p=p)
+        rec = extract_profiles(seq, threshold=cfg["profiles"].get("threshold", 0.02), p=p)
         extra["extracted"] = rec.n_profiles()
         extra["extracted_norms"] = [besov_norm(f, idx) for f in rec.profiles]
     return extra
@@ -354,9 +336,8 @@ def _cmd_verify_estimates(cfg, seed, out_dir) -> dict:
     grid = _grid(cfg)
     n_fields = cfg["verify"].get("n_fields", 6)
     rows = ["check_id,s1,t1,p,p2,lhs,rhs,ratio"]
-    rng_seeds = range(seed, seed + n_fields)
     j_hi = max(grid.j_min, grid.j_max - 1)
-    for i, sd in enumerate(rng_seeds):
+    for i, sd in enumerate(range(seed, seed + n_fields)):
         f = random_band_limited(grid, seed=sd, j_lo=grid.j_min, j_hi=j_hi)
         g = random_band_limited(grid, seed=sd + 1000, j_lo=grid.j_min, j_hi=j_hi)
         rep = product_estimate_check(f, g, -0.5, 1.0, 4.0, 4.0)

@@ -399,9 +399,11 @@ def _mode_radius(grid: GridSpec) -> np.ndarray:
 
 def _random_field(grid: GridSpec, seed: int, band: np.ndarray, amplitude: float,
                   solenoidal: bool) -> SpectralField:
-    """Gaussian coefficients on the band, made real (and divergence-free if
-    solenoidal), scaled to L2 norm `amplitude`.  A solenoidal field leaves
-    the Nyquist planes empty, as `leray_project` does."""
+    """Gaussian coefficients on the band (a GridError if it is empty), made real
+    (and divergence-free if solenoidal), scaled to L2 norm `amplitude`.  A solenoidal
+    field leaves the Nyquist planes empty, as `leray_project` does."""
+    if not band.any():
+        raise GridError(f"the band holds no mode of the {grid.n_points}^3 grid")
     rng = np.random.default_rng(seed)
     n = grid.n_points
     c = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
@@ -425,6 +427,8 @@ def single_mode(grid: GridSpec, mode: tuple[int, int, int], amp: complex = 1.0,
 
 def taylor_green_like(grid: GridSpec, amplitude: float = 1.0, j: int = 1) -> SpectralField:
     """Deterministic large-scale swirling datum at shell ~j (divergence-free)."""
+    if 2**j >= grid.n_points // 2:
+        raise GridError(f"shell j={j} reaches the Nyquist wavenumber {grid.n_points // 2}")
     n = grid.n_points
     x = np.linspace(0.0, grid.period, n, endpoint=False)
     X, Y, Z = np.meshgrid(x, x, x, indexing="ij")

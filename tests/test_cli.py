@@ -47,6 +47,22 @@ n_steps = 8
 
 KIND = "[grid]\nn_points = 32\n[field]\nkind = "
 
+PROFILES = """[grid]
+n_points = 32
+[profile1]
+j_lo = 0
+j_hi = 0
+[profile2]
+j_lo = 0
+j_hi = 0
+amplitude = 0.7
+[profiles]
+m_sweep = -1 -1 -2 -2
+sep_sweep = 3 5 7 9
+extract = true
+threshold = 0.01
+"""
+
 
 @pytest.mark.parametrize("body", [GEN, KIND + "taylor_green_like\n",
                                   KIND + "shell_bump\nj = 1\n"],
@@ -258,35 +274,33 @@ def test_exit_2_on_unknown_section(tmp_path, capsys):
     assert "did you mean 'solver'" in capsys.readouterr().err
 
 
-def test_exit_2_on_bad_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BNSLAB_THREADS", "two")
-    code, _ = run(tmp_path, "generate-field", GEN, "--seed", "9")
-    assert code == 2
-    assert "config error:" in capsys.readouterr().err
+DIVERGING = SOLVE.replace("amplitude = 0.3", "amplitude = 80.0").replace(
+    "n_steps = 8", "n_steps = 8\nmax_picard_iters = 6")
+# at p = 94.5 the Pythagorean gap raises each Besov norm (about 7.7e3 for
+# amplitude 1e5) to the p-th power, past the float range: OverflowError is a
+# numerical failure, not a traceback
+OVERFLOW = PROFILES.replace("j_hi = 0\n[profile2]", "j_hi = 0\namplitude = 1e5\n[profile2]")
+OVERFLOW = OVERFLOW.replace("amplitude = 0.7", "amplitude = 7e4")
+OVERFLOW = OVERFLOW.replace("extract = true", "p = 94.5")
 
 
-@pytest.mark.parametrize("command, section", [
-    ("solve", ""), ("iterate", ""), ("expand", "[expand]\nmode = duhamel\n"),
-], ids=["solve", "iterate", "expand"])
-def test_exit_3_on_divergence(tmp_path, command, section):
-    body = SOLVE.replace("amplitude = 0.3", "amplitude = 80.0").replace(
-        "n_steps = 8", "n_steps = 8\nmax_picard_iters = 6") + section
-    code, out = run(tmp_path, command, body, "--seed", "3")
+@pytest.mark.parametrize("command, body, seed, cause", [
+    ("solve", DIVERGING, "3", "picard_diverged"),
+    ("iterate", DIVERGING, "3", "picard_diverged"),
+    ("expand", DIVERGING + "[expand]\nmode = duhamel\n", "3", "picard_diverged"),
+    # the staged expansion converges, but its residual is above a zero tolerance
+    ("expand", SOLVE.replace("amplitude = 0.3", "amplitude = 0.05")
+     + "[expand]\nmode = staged\nk = 1\nresidual_tol = 0\n", "4", "residual_tol"),
+    ("profiles", OVERFLOW, "21", "out of range"),
+], ids=["solve", "iterate", "expand", "expand_staged", "overflow"])
+def test_exit_3_on_divergence(tmp_path, capsys, command, body, seed, cause):
+    # every numerical failure, raised by a handler or by the arithmetic, takes
+    # one path: error.csv naming the cause, the manifest and a stderr line
+    code, out = run(tmp_path, command, body, "--seed", seed)
     assert code == 3
-    assert (out / "error.csv").exists() and (out / "manifest.json").exists()
-
-
-def test_exit_3_on_overflow(tmp_path, capsys):
-    # at p = 94.5 the Pythagorean gap raises each Besov norm (about 7.7e3 for
-    # amplitude 1e5) to the p-th power, past the float range: OverflowError is
-    # a numerical failure, not a traceback
-    body = PROFILES.replace("j_hi = 0\n[profile2]", "j_hi = 0\namplitude = 1e5\n[profile2]")
-    body = body.replace("amplitude = 0.7", "amplitude = 7e4").replace(
-        "extract = true", "p = 94.5")
-    code, out = run(tmp_path, "profiles", body, "--seed", "21")
-    assert code == 3
-    assert (out / "error.csv").exists()
-    assert "numerical failure:" in capsys.readouterr().err
+    assert cause in (out / "error.csv").read_text()
+    assert json.loads((out / "manifest.json").read_text())["command"] == command
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 @pytest.mark.parametrize("setting", ["mode = duhamel\nn_terms = 2", "mode = staged\nk = 1"],
@@ -325,23 +339,6 @@ def test_iterate_command(tmp_path, no_monitor):
 def test_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "/dev/null"])
-
-
-PROFILES = """[grid]
-n_points = 32
-[profile1]
-j_lo = 0
-j_hi = 0
-[profile2]
-j_lo = 0
-j_hi = 0
-amplitude = 0.7
-[profiles]
-m_sweep = -1 -1 -2 -2
-sep_sweep = 3 5 7 9
-extract = true
-threshold = 0.01
-"""
 
 
 def test_profiles_command(tmp_path):
@@ -444,13 +441,34 @@ def test_profiles_command_evolves_the_set(tmp_path):
      "expand_solution"),
     ("profiles", PROFILES.replace("threshold = 0.01", "threshold = nan"),
      "[profiles] threshold", "pythagorean_gap"),
+    # a field whose band or shell selects no mode of the grid would be all zero
+    ("generate-field", GEN.replace("j_lo = 0\nj_hi = 2", "j_lo = 3\nj_hi = 1"), "[field]",
+     "write_field"),
+    ("generate-field", GEN.replace("j_lo = 0\nj_hi = 2", "j_lo = 5\nj_hi = 9"), "[field]",
+     "write_field"),
+    ("generate-field", KIND + "shell_bump\nj = 10\n", "[field]", "write_field"),
+    ("generate-field", KIND + "taylor_green_like\nj = 4\n", "[field]", "write_field"),
+    ("profiles", PROFILES.replace("j_hi = 0\namplitude", "j_hi = -1\namplitude"),
+     "[profile2]", "pythagorean_gap"),
+    # a sweep or count that selects nothing
+    ("profiles", PROFILES.replace("m_sweep = -1 -1 -2 -2", "m_sweep ="), "[profiles] m_sweep",
+     "pythagorean_gap"),
+    ("verify-estimates", "[grid]\nn_points = 32\n[verify]\nn_fields = 0\n",
+     "[verify] n_fields", "random_band_limited"),
+    ("verify-estimates", "[grid]\nn_points = 32\n[verify]\nn_fields = -1\n",
+     "[verify] n_fields", "random_band_limited"),
+    # every range is checked, also in a section the command does not read
+    ("solve", SOLVE + "[norms]\nq = 2\n", "[norms] q", "picard_solve"),
 ], ids=["iterate_j_steps_0", "iterate_j_steps_neg", "norms_q", "expand_k", "profiles_p",
         "profiles_m_sweep_nyquist", "profiles_m_sweep_lattice", "profiles_m_sweep_int",
         "profiles_sep_sweep_int", "profiles_m_sweep_64", "iterate_j_steps_float",
         "grid_n_points_text", "solver_dt_text", "output_write_trajectory_text",
         "solver_require_convergence_text", "expand_residual_tol_text",
         "profiles_extract_text", "profiles_threshold_text", "expand_residual_tol_nan",
-        "profiles_threshold_nan"])
+        "profiles_threshold_nan", "field_band_reversed", "field_band_above_grid",
+        "field_shell_bump_empty", "field_taylor_green_nyquist", "profile2_band_reversed",
+        "profiles_m_sweep_empty", "verify_n_fields_0", "verify_n_fields_neg",
+        "norms_q_unread_section"])
 def test_exit_2_on_bad_setting_before_numerics(tmp_path, monkeypatch, capsys, command,
                                                body, key, first):
     # a value the numerics would reject late, or not at all, is a config

@@ -1,6 +1,6 @@
 """The documented entry points run: the README "Quick start" block, its
-example config and each script's `--help`, so a renamed or moved name
-breaks a test rather than the docs."""
+example config, the `bnslab` command's `--help` and each script's, so a
+renamed or moved name breaks a test rather than the docs."""
 import importlib.util
 import os
 import re
@@ -12,6 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def test_readme_quick_start_runs(capsys):
@@ -32,11 +34,28 @@ def test_readme_config_runs(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+def test_cli_help_names_every_command():
+    """`python -m bnslab.cli` and the target of the `bnslab` console script
+    print a usage naming every command; the README lists the same commands."""
+    from bnslab.cli import COMMANDS
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    module, func = re.search(r'^bnslab = "(.+):(.+)"$', pyproject, re.M).groups()
+    script = f"import sys; from {module} import {func}; sys.exit({func}())"
+    for argv in (["-m", "bnslab.cli"], ["-c", script]):
+        proc = subprocess.run([sys.executable, *argv, "--help"], capture_output=True,
+                              text=True, timeout=120, env=ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert "{" + ",".join(COMMANDS) + "}" in proc.stdout
+    readme = (ROOT / "README.md").read_text()
+    listed = re.search(r"^Commands: (.*?)\.", readme, re.M | re.S).group(1)
+    assert len(COMMANDS) == 7
+    assert sorted(re.findall(r"`([^`]+)`", listed)) == sorted(COMMANDS)
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_script_help(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+                          text=True, timeout=120, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
 

@@ -123,6 +123,27 @@ def test_taylor_green_like_structure(grid):
 
 # -- heat flow ----------------------------------------------------------------
 
+@pytest.mark.parametrize("j_lo, j_hi", [(3, 1), (5, 9)], ids=["reversed", "above_grid"])
+def test_random_band_limited_rejects_an_empty_band(grid, j_lo, j_hi):
+    # a reversed band, and one above every mode of the 32^3 grid, select no
+    # mode: an all-zero field would measure nothing
+    with pytest.raises(GridError):
+        random_band_limited(grid, seed=0, j_lo=j_lo, j_hi=j_hi)
+
+
+def test_shell_bump_rejects_an_empty_shell(grid):
+    with pytest.raises(GridError):
+        shell_bump(grid, j=10)
+
+
+def test_taylor_green_like_rejects_a_shell_at_nyquist(grid):
+    # at j = 4 every mode sits at |n_i| = 16, the Nyquist wavenumber of the
+    # 32^3 grid, which the Leray projection empties
+    assert taylor_green_like(grid, j=3).l2() == pytest.approx(1.0)
+    with pytest.raises(GridError):
+        taylor_green_like(grid, j=4)
+
+
 def test_heat_flow_single_mode_oracle(grid):
     u = single_mode(grid, (2, 1, 0))
     t = 0.07

@@ -236,6 +236,17 @@ def test_fit_leaves_residuals_unchanged(grid):
     assert [r.coeffs.tobytes() for r in residual] == before
 
 
+def test_tail_average_sums_in_index_order(grid):
+    # three m = 0 boxes at one mode: in index order 1 + 1e16 rounds to 1e16 and
+    # the sum cancels to an empty box; summed in reverse it keeps the 1 (mean
+    # 1/3), so a reordered sum would change the extractor's bytes
+    rows = (np.array([1]), np.array([0]), np.array([0]))
+    boxes = {n: (rows, np.full((3, 1, 1, 1), v, dtype=complex))
+             for n, v in enumerate((1.0, 1e16, -1e16))}
+    at, vals = profiles._tail_average(boxes, [ScaleCore(0)] * 3, range(3), grid, 3.0)
+    assert [len(r) for r in at] == [0, 0, 0] and vals.size == 0
+
+
 def test_extraction_transforms_each_tail_residual_once_per_round(two_profile_seq, monkeypatch):
     # each round past the stop test transforms the blocks of the three tail
     # residuals once for p = 6 and p = 3 together, those of the three head
